@@ -7,7 +7,8 @@ enumerate lists diagram classes, and verify sweeps the flip theorem plus
 the two-oracle agreement check.
 
 Exit codes: 0 success (and "realizable" for check), 1 unrealizable (check
-only), 2 malformed input, 3 verification found a counterexample.
+only), 2 malformed input (or an internal error, labelled as such on
+stderr), 3 verification found a counterexample.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .cubic import (
@@ -31,12 +31,10 @@ from .diagrams import (
     DiagramError,
     GaussDiagram,
     canonical_form,
-    canonical_words,
     enumerate_diagrams,
     interlacement_graph,
     parity_check,
     parse_diagram_input,
-    parse_word,
 )
 from .flips import FlipError, apply_flip, flip_orbit, flip_sites, verify_flip_theorem
 from .realize import (
@@ -67,7 +65,11 @@ def _load_graph(spec: str) -> CubicGraph:
     if spec == "-":
         return parse_edge_list(sys.stdin.read())
     path = Path(spec)
-    if path.is_file():
+    try:
+        is_file = path.is_file()
+    except OSError:  # e.g. an inline edge list too long to be a file name
+        is_file = False
+    if is_file:
         return parse_edge_list(path.read_text())
     if "," in spec or "\n" in spec:
         return parse_edge_list(spec.replace(",", "\n"))
@@ -83,9 +85,9 @@ def analysis_record(d: GaussDiagram, raw: str) -> dict:
     arrays of those, so dumping the record is byte-for-byte reproducible.
     """
     inter = interlacement_graph(d)
-    realizable = is_realizable(d)
-    gadget = gadget_planarity(d)
     reports = realize_all(d)
+    realizable = bool(reports)
+    gadget = gadget_planarity(d)
     curves: dict[str, tuple[int, ...]] = {}
     for report in reports:
         inv = curve_invariants(report)
@@ -104,7 +106,7 @@ def analysis_record(d: GaussDiagram, raw: str) -> dict:
         "realizable": realizable,
         "gadget_planar": gadget,
         "oracles_agree": realizable == gadget,
-        "min_genus": min_genus(d),
+        "min_genus": 0 if realizable else min_genus(d),
         "realizations": len(reports),
         "curves": [
             {
@@ -286,11 +288,6 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _oracle_word_agrees(word: str) -> bool:
-    d = parse_word(word)
-    return is_realizable(d) == gadget_planarity(d)
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     max_n = args.max_chords
     if not 2 <= max_n <= VERIFY_MAX:
@@ -300,13 +297,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.threads < 1:
         raise FlipError(f"--threads must be positive, got {args.threads}")
     theorem = verify_flip_theorem(max_n, workers=args.threads)
-    words = [w for n in range(1, max_n + 1) for w in canonical_words(n)]
-    if args.threads > 1:
-        with ProcessPoolExecutor(max_workers=args.threads) as pool:
-            agree = list(pool.map(_oracle_word_agrees, words, chunksize=16))
-    else:
-        agree = [_oracle_word_agrees(w) for w in words]
-    mismatches = [w for w, ok in zip(words, agree) if not ok]
+    mismatches = theorem.oracle_mismatches
     failed = bool(theorem.counterexamples or mismatches)
     if args.json:
         _emit_json(
@@ -314,8 +305,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 "flip_theorem": theorem.to_json_dict(),
                 "oracle_agreement": {
                     "max_n": max_n,
-                    "diagrams_checked": len(words),
-                    "mismatches": mismatches,
+                    "diagrams_checked": theorem.diagrams_checked,
+                    "mismatches": list(mismatches),
                 },
             }
         )
@@ -336,7 +327,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:
         print(
             f"oracle agreement up to {max_n} chords:"
-            f" all {len(words)} diagram classes agree"
+            f" all {theorem.diagrams_checked} diagram classes agree"
         )
     return 3 if failed else 0
 
@@ -403,8 +394,8 @@ def main(argv: list[str] | None = None) -> int:
     except (DiagramError, GraphError, FlipError, RealizeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # any other failure still maps to "bad input"
-        print(f"error: {exc}", file=sys.stderr)
+    except Exception as exc:  # a bug, not bad input; same documented exit code
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -93,9 +93,6 @@ class CubicGraph:
             u, v = v, u
         return self._multiplicity[(u, v)]
 
-    def degree(self, v: int) -> int:
-        return 3
-
     def to_edge_list(self) -> str:
         return "".join(f"{u} {v}\n" for u, v in self.edges)
 

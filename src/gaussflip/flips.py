@@ -17,7 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .diagrams import GaussDiagram, canonical_form, canonical_words, parse_word
-from .realize import realizable_class
+from .realize import gadget_planarity, realizable_class
 
 
 class FlipError(ValueError):
@@ -176,12 +176,13 @@ class FlipCounterexample:
 
 @dataclass(frozen=True)
 class FlipTheoremReport:
-    """Outcome of sweeping every flip site of every class up to max_n."""
+    """Outcome of one sweep over every class up to max_n: flips and oracles."""
 
     max_n: int
     diagrams_checked: int
     sites_checked: int
     counterexamples: tuple[FlipCounterexample, ...]
+    oracle_mismatches: tuple[str, ...] = ()  # classes where gadget != tracing
 
     def ok(self) -> bool:
         return not self.counterexamples
@@ -215,8 +216,8 @@ class FlipTheoremReport:
         }
 
 
-def check_word_flips(word: str) -> tuple[int, tuple[FlipCounterexample, ...]]:
-    """Sites checked and realizability-changing flips for one class word."""
+def check_word_flips(word: str) -> tuple[int, tuple[FlipCounterexample, ...], bool]:
+    """Sites checked, realizability-changing flips, and whether the oracles agree."""
     d = parse_word(word)
     before = realizable_class(word)
     bad: list[FlipCounterexample] = []
@@ -225,11 +226,11 @@ def check_word_flips(word: str) -> tuple[int, tuple[FlipCounterexample, ...]]:
         after = realizable_class(canonical_form(apply_flip(d, site)).text)
         if after != before:
             bad.append(FlipCounterexample(word, site.i, site.j, before, after))
-    return len(sites), tuple(bad)
+    return len(sites), tuple(bad), gadget_planarity(d) == before
 
 
 def verify_flip_theorem(max_n: int, workers: int = 1) -> FlipTheoremReport:
-    """Check that no flip changes realizability, over all classes n <= max_n."""
+    """Check flips and oracle agreement over all classes n <= max_n in one pass."""
     if max_n < 2:
         raise FlipError(f"max chord count must be at least 2, got {max_n}")
     words = [w for n in range(1, max_n + 1) for w in canonical_words(n)]
@@ -238,6 +239,7 @@ def verify_flip_theorem(max_n: int, workers: int = 1) -> FlipTheoremReport:
             results = list(pool.map(check_word_flips, words, chunksize=16))
     else:
         results = [check_word_flips(w) for w in words]
-    sites = sum(s for s, _ in results)
-    bad = tuple(c for _, cs in results for c in cs)
-    return FlipTheoremReport(max_n, len(words), sites, bad)
+    sites = sum(s for s, _, _ in results)
+    bad = tuple(c for _, cs, _ in results for c in cs)
+    mismatches = tuple(w for w, (_, _, agrees) in zip(words, results) if not agrees)
+    return FlipTheoremReport(max_n, len(words), sites, bad, mismatches)

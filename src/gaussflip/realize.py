@@ -222,8 +222,6 @@ def gadget_planarity(d: GaussDiagram) -> bool:
             add(a, b)
     for s in range(m):
         add(corner_out[s], corner_in[(s + 1) % m])
-    if len(edges) > 3 * 2 * m - 6:  # planar simple graphs obey E <= 3V - 6
-        return False
     graph = nx.Graph()
     graph.add_nodes_from(range(2 * m))
     graph.add_edges_from(edges)

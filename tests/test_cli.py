@@ -8,8 +8,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+from gaussflip import cli, flips
 from gaussflip.cli import main
-from gaussflip.cubic import moebius_ladder
+from gaussflip.cubic import graph_from_diagram, moebius_ladder
+from gaussflip.diagrams import parse_word
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -177,6 +179,15 @@ class TestGraph:
         assert code == 0
         assert from_file == from_stdin
 
+    def test_inline_longer_than_a_file_name(self, capsys):
+        # the graph of the 16-chord star ABC..P ABC..P, inline: 257 bytes
+        g, _ = graph_from_diagram(parse_word("ABCDEFGHIJKLMNOP" * 2))
+        inline = g.to_edge_list().strip().replace("\n", ",")
+        assert len(inline) > 255
+        code, out, err = run_cli(capsys, "graph", "hamcycles", inline)
+        assert (code, err) == (0, "")
+        assert out == run_cli(capsys, "graph", "hamcycles", "mobius:16")[1]
+
     def test_wrong_arity(self, capsys):
         code, _, err = run_cli(capsys, "graph", "iso", "mobius:3")
         assert code == 2
@@ -309,6 +320,28 @@ class TestVerify:
         )
         assert serial == parallel
 
+    def test_oracle_mismatch_fails(self, capsys, monkeypatch):
+        # a gadget oracle that calls ABAB planar disagrees with face tracing
+        real = flips.gadget_planarity
+        monkeypatch.setattr(
+            flips,
+            "gadget_planarity",
+            lambda d: d.word() == "ABAB" or real(d),
+        )
+        code, out, _ = run_cli(
+            capsys, "verify", "--json", "--max-chords", "3", "--threads", "1"
+        )
+        assert code == 3
+        data = assert_json_stable(out)
+        assert data["oracle_agreement"]["mismatches"] == ["ABAB"]
+        assert data["flip_theorem"]["counterexamples"] == []
+        code, out, _ = run_cli(capsys, "verify", "--max-chords", "3", "--threads", "1")
+        assert code == 3
+        assert out.splitlines()[1:] == [
+            "oracle agreement up to 3 chords: 1 DISAGREEMENTS",
+            "  oracle mismatch on ABAB",
+        ]
+
     def test_bounds(self, capsys):
         for args in (["--max-chords", "1"], ["--max-chords", "7"]):
             code, _, err = run_cli(capsys, "verify", *args)
@@ -332,6 +365,16 @@ class TestTopLevel:
         assert main(["--help"]) == 0
         out = capsys.readouterr().out
         assert "analyze" in out and "verify" in out
+
+    def test_internal_error_labelled(self, capsys, monkeypatch):
+        def broken(args):
+            raise AssertionError("impossible face count")
+
+        monkeypatch.setattr(cli, "cmd_check", broken)
+        code, out, err = run_cli(capsys, "check", "ABAB")
+        assert code == 2
+        assert out == ""
+        assert err == "internal error: AssertionError: impossible face count\n"
 
     def test_module_entry_point(self):
         proc = subprocess.run(

@@ -162,6 +162,7 @@ class TestTheoremSweep:
         assert serial == parallel
 
     def test_check_word_flips(self):
-        sites, bad = check_word_flips("ABCDEABCDE")
+        sites, bad, agrees = check_word_flips("ABCDEABCDE")
         assert sites == 10
         assert bad == ()
+        assert agrees is True
