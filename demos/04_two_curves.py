@@ -7,7 +7,7 @@ code sets are disjoint: no sphere homeomorphism carries one curve to the
 other, even though both words ride the same cubic graph.
 """
 
-from gaussflip import curve_code, curve_invariants, parse_word, realize_all
+from gaussflip import curve_code, parse_word, realize_all
 
 for word in ("ADBECADBEC", "ACDECABDEB"):
     d = parse_word(word)
@@ -16,8 +16,7 @@ for word in ("ADBECADBEC", "ACDECABDEB"):
     print(f"{word}: {len(reports)} planar embedding(s) of {2 ** d.n} systems")
     print(f"  the two embeddings are mirror images, {len(distinct)} curve code(s)")
     report = reports[0]
-    inv = curve_invariants(report)
-    faces = ",".join(str(x) for x in inv.face_degrees)
+    faces = ",".join(str(x) for x in report.face_degrees())
     print(f"  faces [{faces}]  code {curve_code(report).text}")
     for face in report.faces:
         print("    " + " ".join(report.dart_name(x) for x in face))

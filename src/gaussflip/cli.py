@@ -40,7 +40,6 @@ from .flips import FlipError, apply_flip, flip_orbit, flip_sites, verify_flip_th
 from .realize import (
     RealizeError,
     curve_code,
-    curve_invariants,
     gadget_planarity,
     is_realizable,
     min_genus,
@@ -85,13 +84,13 @@ def analysis_record(d: GaussDiagram, raw: str) -> dict:
     arrays of those, so dumping the record is byte-for-byte reproducible.
     """
     inter = interlacement_graph(d)
-    reports = realize_all(d)
-    realizable = bool(reports)
+    genus = min_genus(d)
+    realizable = genus == 0
+    reports = realize_all(d) if realizable else []
     gadget = gadget_planarity(d)
     curves: dict[str, tuple[int, ...]] = {}
     for report in reports:
-        inv = curve_invariants(report)
-        curves.setdefault(curve_code(report).text, inv.face_degrees)
+        curves.setdefault(curve_code(report).text, report.face_degrees())
     return {
         "input": raw,
         "word": d.word(),
@@ -106,7 +105,7 @@ def analysis_record(d: GaussDiagram, raw: str) -> dict:
         "realizable": realizable,
         "gadget_planar": gadget,
         "oracles_agree": realizable == gadget,
-        "min_genus": 0 if realizable else min_genus(d),
+        "min_genus": genus,
         "realizations": len(reports),
         "curves": [
             {

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .diagrams import GaussDiagram, canonical_form, from_chord_pairs
+from .realize import realizable_class
 
 
 class GraphError(ValueError):
@@ -370,8 +371,6 @@ def ham_census(g: CubicGraph) -> CensusReport:
     Every cycle contributes one diagram; entries collect them per canonical
     word with cycle counts and a realizability verdict, sorted by word.
     """
-    from .realize import realizable_class  # late import: realize uses diagrams only
-
     cycles = hamiltonian_cycles(g)
     per_word: Counter[str] = Counter()
     for h in cycles:

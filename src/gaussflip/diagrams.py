@@ -109,6 +109,28 @@ class GaussDiagram:
                 first[cid] = s
         return tuple(out)
 
+    @classmethod
+    def from_tokens(cls, tokens: Sequence[str]) -> GaussDiagram:
+        """The diagram with one token per slot; equal tokens mark a chord.
+
+        Every token must appear exactly twice.  Labels are the tokens in
+        first-occurrence order.
+        """
+        for tok, c in Counter(tokens).items():
+            if c != 2:
+                raise MalformedWordError(
+                    f"token {tok!r} appears {c} time(s), expected exactly 2"
+                )
+        first: dict[str, int] = {}
+        pairing = [-1] * len(tokens)
+        for s, tok in enumerate(tokens):
+            if tok in first:
+                f = first[tok]
+                pairing[f], pairing[s] = s, f
+            else:
+                first[tok] = s
+        return cls(len(tokens) // 2, tuple(pairing), tuple(first))
+
     def word(self) -> str:
         """Render the diagram as a word, one token per slot.
 
@@ -122,32 +144,17 @@ class GaussDiagram:
     def rotated(self, k: int) -> GaussDiagram:
         """The diagram read starting from slot ``k``; labels carried over."""
         m = 2 * self.n
-        pairing = tuple((self.pairing[(s + k) % m] - k) % m for s in range(m))
         names = [self.labels[self.chord_of[(s + k) % m]] for s in range(m)]
-        return _from_slot_names(pairing, names)
+        return GaussDiagram.from_tokens(names)
 
     def reflected(self) -> GaussDiagram:
         """The mirror image: slot s becomes slot 2n-1-s."""
         m = 2 * self.n
-        pairing = tuple(m - 1 - self.pairing[m - 1 - s] for s in range(m))
         names = [self.labels[self.chord_of[m - 1 - s]] for s in range(m)]
-        return _from_slot_names(pairing, names)
+        return GaussDiagram.from_tokens(names)
 
     def __str__(self) -> str:
         return self.word()
-
-
-def _from_slot_names(
-    pairing: tuple[int, ...], names: Sequence[str]
-) -> GaussDiagram:
-    """Build a diagram whose labels follow first occurrence in ``names``."""
-    labels: list[str] = []
-    seen: set[int] = set()
-    for s in range(len(pairing)):
-        if s not in seen:
-            seen.add(pairing[s])
-            labels.append(names[s])
-    return GaussDiagram(len(pairing) // 2, pairing, tuple(labels))
 
 
 def parse_word(text: str) -> GaussDiagram:
@@ -159,23 +166,7 @@ def parse_word(text: str) -> GaussDiagram:
     tokens = text.split() if any(c.isspace() for c in text) else list(text)
     if not tokens:
         raise EmptyDiagramError("empty word")
-    counts = Counter(tokens)
-    for tok, c in counts.items():
-        if c != 2:
-            raise MalformedWordError(
-                f"token {tok!r} appears {c} time(s), expected exactly 2"
-            )
-    first: dict[str, int] = {}
-    pairing = [-1] * len(tokens)
-    labels: list[str] = []
-    for s, tok in enumerate(tokens):
-        if tok in first:
-            f = first[tok]
-            pairing[f], pairing[s] = s, f
-        else:
-            first[tok] = s
-            labels.append(tok)
-    return GaussDiagram(len(tokens) // 2, tuple(pairing), tuple(labels))
+    return GaussDiagram.from_tokens(tokens)
 
 
 def from_chord_pairs(pairs: Iterable[Sequence[int]]) -> GaussDiagram:
@@ -291,18 +282,6 @@ def _render_sequence(seq: Sequence[int]) -> str:
     return sep.join(toks)
 
 
-def _diagram_from_sequence(seq: Sequence[int]) -> GaussDiagram:
-    first: dict[int, int] = {}
-    pairing = [-1] * len(seq)
-    for s, cid in enumerate(seq):
-        if cid in first:
-            f = first[cid]
-            pairing[f], pairing[s] = s, f
-        else:
-            first[cid] = s
-    return GaussDiagram(len(seq) // 2, tuple(pairing))
-
-
 def canonical_form(d: GaussDiagram) -> CanonicalWord:
     """The lexicographically least word over all 4n symmetries of ``d``.
 
@@ -408,9 +387,10 @@ def enumerate_diagrams(n: int) -> Iterator[GaussDiagram]:
     """
     if n < 1:
         raise DiagramError("chord count must be at least 1")
+    names = _chord_names(n)
     for seq in _double_occurrence_sequences(n):
         if _is_canonical_sequence(seq):
-            yield _diagram_from_sequence(seq)
+            yield GaussDiagram.from_tokens([names[x] for x in seq])
 
 
 @lru_cache(maxsize=None)

@@ -68,18 +68,6 @@ def flip_sites(d: GaussDiagram) -> list[FlipSite]:
     return sites
 
 
-def _site_fits(d: GaussDiagram, site: FlipSite) -> bool:
-    m = 2 * d.n
-    i, j = site.i, site.j
-    if not (0 <= i < m and 0 <= j < m) or i == j:
-        return False
-    return (
-        d.pairing[i] == j
-        and d.pairing[(i + 1) % m] == (j + 1) % m
-        and d.chord_of[i] != d.chord_of[(i + 1) % m]
-    )
-
-
 def apply_flip(d: GaussDiagram, site: FlipSite) -> GaussDiagram:
     """Reverse the site's in-between arc; an involution on diagrams.
 
@@ -87,28 +75,15 @@ def apply_flip(d: GaussDiagram, site: FlipSite) -> GaussDiagram:
     arc moves to the mirrored slot, and labels ride along with their
     chords.
     """
-    if not _site_fits(d, site):
+    if (site.i, site.j) not in [(s.i, s.j) for s in flip_sites(d)]:
         raise StaleSiteError(
             f"site (i={site.i}, j={site.j}) does not describe this diagram"
         )
-    m = 2 * d.n
+    names = [d.labels[cid] for cid in d.chord_of]
     arc = site.flipped_arc(d.n)
-    perm = list(range(m))
-    for t, s in enumerate(arc):
-        perm[s] = arc[len(arc) - 1 - t]
-    pairing = [0] * m
-    for s in range(m):
-        pairing[perm[s]] = perm[d.pairing[s]]
-    names = [""] * m
-    for s in range(m):
-        names[perm[s]] = d.labels[d.chord_of[s]]
-    labels: list[str] = []
-    seen: set[str] = set()
-    for name in names:
-        if name not in seen:
-            seen.add(name)
-            labels.append(name)
-    return GaussDiagram(d.n, tuple(pairing), tuple(labels))
+    for s, t in zip(arc, reversed(arc)):
+        names[s] = d.labels[d.chord_of[t]]
+    return GaussDiagram.from_tokens(names)
 
 
 @dataclass(frozen=True)

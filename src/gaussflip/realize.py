@@ -32,7 +32,6 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
 
 import networkx as nx
 
@@ -163,35 +162,31 @@ def trace_faces(d: GaussDiagram, rs: RotationSystem) -> EmbeddingReport:
     return EmbeddingReport(d, rs, tuple(faces), f, euler_defect // 2)
 
 
+def _genera(d: GaussDiagram) -> Iterator[tuple[RotationSystem, int]]:
+    """Each transverse rotation system with the genus of its embedding."""
+    for rs in transverse_rotation_systems(d):
+        yield rs, (2 + d.n - _face_count(_rotation_successors(d, rs.bits))) // 2
+
+
 def realize_all(d: GaussDiagram) -> list[EmbeddingReport]:
     """Every genus-zero embedding, in rotation-system order."""
-    return [
-        report
-        for rs in transverse_rotation_systems(d)
-        if (report := trace_faces(d, rs)).genus == 0
-    ]
-
-
-def is_realizable(d: GaussDiagram) -> bool:
-    """True when some transverse rotation system has n + 2 faces."""
-    want = d.n + 2
-    for rs in transverse_rotation_systems(d):
-        if _face_count(_rotation_successors(d, rs.bits)) == want:
-            return True
-    return False
+    return [trace_faces(d, rs) for rs, genus in _genera(d) if genus == 0]
 
 
 def min_genus(d: GaussDiagram) -> int:
     """Least genus over all 2^n transverse embeddings (0 iff realizable)."""
-    best = None
-    for rs in transverse_rotation_systems(d):
-        f = _face_count(_rotation_successors(d, rs.bits))
-        g = (2 + d.n - f) // 2
-        best = g if best is None else min(best, g)
-        if best == 0:
-            return 0
-    assert best is not None
+    best = d.n  # no genus exceeds n: one face already gives (n + 1) / 2
+    for _, genus in _genera(d):
+        if genus < best:
+            best = genus
+            if best == 0:
+                break
     return best
+
+
+def is_realizable(d: GaussDiagram) -> bool:
+    """True when some transverse rotation system has n + 2 faces."""
+    return min_genus(d) == 0
 
 
 @lru_cache(maxsize=None)
@@ -233,17 +228,6 @@ class CurveCode:
     """Canonical name of a plane curve; equal codes mean same curve."""
 
     text: str
-
-
-class CurveInvariants(NamedTuple):
-    """Cheap embedding fingerprints: face-length multiset and face count."""
-
-    face_degrees: tuple[int, ...]
-    face_count: int
-
-
-def curve_invariants(report: EmbeddingReport) -> CurveInvariants:
-    return CurveInvariants(report.face_degrees(), report.face_count)
 
 
 def _encode_map(root: int, succ: list[int]) -> tuple[int, ...]:

@@ -26,7 +26,6 @@ from gaussflip.diagrams import (
 from gaussflip.flips import apply_flip, flip_sites, verify_flip_theorem
 from gaussflip.realize import (
     curve_code,
-    curve_invariants,
     gadget_planarity,
     is_realizable,
     realize_all,
@@ -105,8 +104,8 @@ def test_04_the_two_realizable_fixtures_are_different_curves():
         codes_m = {curve_code(r).text for r in reports_m}
         assert codes_p and codes_m
         assert not codes_p & codes_m
-        faces_p = {curve_invariants(r).face_degrees for r in reports_p}
-        faces_m = {curve_invariants(r).face_degrees for r in reports_m}
+        faces_p = {r.face_degrees() for r in reports_p}
+        faces_m = {r.face_degrees() for r in reports_m}
         assert faces_p == {(2, 2, 2, 2, 2, 5, 5)}
         assert not faces_p & faces_m
 

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
-from gaussflip import cli, flips
+import gaussflip
+from gaussflip import cli, flips, realize
 from gaussflip.cli import main
 from gaussflip.cubic import graph_from_diagram, moebius_ladder
 from gaussflip.diagrams import parse_word
@@ -52,6 +54,28 @@ class TestAnalyze:
         assert "verdict     unrealizable (gadget agrees: False)" in out
         assert "min genus   1" in out
         assert "curve" not in out
+
+    def test_one_walk_over_rotation_systems(self, monkeypatch):
+        counts = {"walks": 0, "systems": 0, "traces": 0}
+        systems, trace = realize.transverse_rotation_systems, realize.trace_faces
+
+        def counted_systems(d):
+            counts["walks"] += 1
+            for rs in systems(d):
+                counts["systems"] += 1
+                yield rs
+
+        def counted_trace(d, rs):
+            counts["traces"] += 1
+            return trace(d, rs)
+
+        monkeypatch.setattr(realize, "transverse_rotation_systems", counted_systems)
+        monkeypatch.setattr(realize, "trace_faces", counted_trace)
+        cli.analysis_record(parse_word("AEBACBDCED"), "AEBACBDCED")
+        assert counts == {"walks": 1, "systems": 32, "traces": 0}
+        counts["traces"] = 0
+        record = cli.analysis_record(parse_word("ADBECADBEC"), "ADBECADBEC")
+        assert counts["traces"] == record["realizations"] == 2
 
     def test_pair_syntax(self, capsys):
         code, out, _ = run_cli(capsys, "analyze", "0-2,1-3")
@@ -377,10 +401,14 @@ class TestTopLevel:
         assert err == "internal error: AssertionError: impossible face count\n"
 
     def test_module_entry_point(self):
+        # the child imports the same gaussflip as this test, installed or not
+        src = str(Path(gaussflip.__file__).parent.parent)
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         proc = subprocess.run(
             [sys.executable, "-m", "gaussflip", "check", "ABCDEABCDE"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert proc.stdout == "realizable\n"

@@ -22,6 +22,28 @@ DIAMETERS = parse_word("ADBECADBEC")
 MIXED = parse_word("ACDECABDEB")
 
 
+def slot_permutation_flip(d, site):
+    """Reference flip: move every slot of the reversed arc to its mirror slot."""
+    m = 2 * d.n
+    arc = site.flipped_arc(d.n)
+    perm = list(range(m))
+    for t, s in enumerate(arc):
+        perm[s] = arc[len(arc) - 1 - t]
+    pairing = [0] * m
+    for s in range(m):
+        pairing[perm[s]] = perm[d.pairing[s]]
+    names = [""] * m
+    for s in range(m):
+        names[perm[s]] = d.labels[d.chord_of[s]]
+    labels: list[str] = []
+    seen: set[str] = set()
+    for name in names:
+        if name not in seen:
+            seen.add(name)
+            labels.append(name)
+    return tuple(pairing), tuple(labels)
+
+
 class TestSites:
     def test_two_interlaced_chords(self):
         sites = flip_sites(parse_word("ABAB"))
@@ -68,6 +90,15 @@ class TestApply:
                     again = apply_flip(apply_flip(d, site), site)
                     assert again == d, (word, site)
 
+    def test_matches_slot_permutation_reference(self):
+        for n in range(2, 7):
+            for word in canonical_words(n):
+                d = parse_word(word)
+                for site in flip_sites(d):
+                    got = apply_flip(d, site)
+                    want = slot_permutation_flip(d, site)
+                    assert (got.pairing, got.labels) == want, (word, site)
+
     def test_labels_ride_with_chords(self):
         site = flip_sites(DIAMETERS)[0]
         flipped = apply_flip(DIAMETERS, site)
@@ -91,6 +122,16 @@ class TestApply:
             apply_flip(MIXED, site)
         with pytest.raises(StaleSiteError):
             apply_flip(DIAMETERS, FlipSite(0, 12, "A", "D"))
+
+    def test_every_unlisted_site_is_stale(self):
+        for word in ("AABB", "ABAB", "ADBECADBEC"):
+            d = parse_word(word)
+            listed = {(s.i, s.j) for s in flip_sites(d)}
+            for i in range(2 * d.n):
+                for j in range(2 * d.n):
+                    if (i, j) not in listed:
+                        with pytest.raises(StaleSiteError):
+                            apply_flip(d, FlipSite(i, j, "A", "B"))
 
 
 class TestOrbits:

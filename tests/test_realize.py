@@ -10,7 +10,6 @@ from gaussflip.realize import (
     RealizeError,
     RotationSystem,
     curve_code,
-    curve_invariants,
     gadget_planarity,
     is_realizable,
     min_genus,
@@ -83,6 +82,17 @@ class TestFaceTracing:
                     v, e, f = n, 2 * n, report.face_count
                     assert v - e + f == 2 - 2 * report.genus
                     assert report.genus >= 0
+
+    def test_realize_all_and_min_genus_match_tracing_every_system(self):
+        # reference: trace all 2^n systems, keep genus zero, take the least genus
+        for n in range(1, 6):
+            for word in canonical_words(n):
+                d = parse_word(word)
+                traced = [trace_faces(d, rs) for rs in transverse_rotation_systems(d)]
+                want = [(r.rotation.bits, r.faces) for r in traced if r.genus == 0]
+                got = [(r.rotation.bits, r.faces) for r in realize_all(d)]
+                assert got == want, word
+                assert min_genus(d) == min(r.genus for r in traced), word
 
     def test_faces_partition_darts(self):
         d = DIAMETERS
@@ -177,12 +187,6 @@ class TestCurveCodes:
                 for variant in (d.rotated(1), d.rotated(3), d.reflected()):
                     got = {curve_code(r).text for r in realize_all(variant)}
                     assert got == codes, word
-
-    def test_invariants_shape(self):
-        report = realize_all(parse_word("AA"))[0]
-        inv = curve_invariants(report)
-        assert inv.face_degrees == (1, 1, 2)
-        assert inv.face_count == 3
 
     def test_code_text_is_single_token(self):
         report = realize_all(parse_word("AA"))[0]
