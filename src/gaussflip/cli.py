@@ -84,9 +84,9 @@ def analysis_record(d: GaussDiagram, raw: str) -> dict:
     arrays of those, so dumping the record is byte-for-byte reproducible.
     """
     inter = interlacement_graph(d)
-    genus = min_genus(d)
-    realizable = genus == 0
-    reports = realize_all(d) if realizable else []
+    realizable = is_realizable(d)
+    genus = 0 if realizable else min_genus(d)
+    reports = realize_all(d)
     gadget = gadget_planarity(d)
     curves: dict[str, tuple[int, ...]] = {}
     for report in reports:

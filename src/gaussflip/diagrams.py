@@ -109,6 +109,19 @@ class GaussDiagram:
                 first[cid] = s
         return tuple(out)
 
+    @cached_property
+    def interlacement_masks(self) -> tuple[int, ...]:
+        """Per chord id, a bitmask of the chords it interlaces.
+
+        Bit j of entry i is set when chord j has exactly one endpoint
+        strictly inside chord i's arc (u, v).  ``inside[s]`` XORs one bit
+        per slot before s, so a chord with both ends inside cancels out.
+        """
+        inside = [0]
+        for cid in self.chord_of:
+            inside.append(inside[-1] ^ (1 << cid))
+        return tuple(inside[v] ^ inside[u + 1] for u, v in self.chord_slots)
+
     @classmethod
     def from_tokens(cls, tokens: Sequence[str]) -> GaussDiagram:
         """The diagram with one token per slot; equal tokens mark a chord.
@@ -335,11 +348,9 @@ class InterlacementGraph:
 def interlacement_graph(d: GaussDiagram) -> InterlacementGraph:
     """Edges join chords with exactly one endpoint inside the other's arc."""
     edges: list[tuple[str, str]] = []
-    for i in range(d.n):
-        u, v = d.chord_slots[i]
+    for i, mask in enumerate(d.interlacement_masks):
         for j in range(i + 1, d.n):
-            a, b = d.chord_slots[j]
-            if (u < a < v) != (u < b < v):
+            if mask >> j & 1:
                 edges.append((d.labels[i], d.labels[j]))
     return InterlacementGraph(tuple(d.labels), tuple(edges))
 

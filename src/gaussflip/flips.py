@@ -17,7 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .diagrams import GaussDiagram, canonical_form, canonical_words, parse_word
-from .realize import gadget_planarity, realizable_class
+from .realize import gadget_planarity, is_realizable, realizable_class
 
 
 class FlipError(ValueError):
@@ -157,7 +157,7 @@ class FlipTheoremReport:
     diagrams_checked: int
     sites_checked: int
     counterexamples: tuple[FlipCounterexample, ...]
-    oracle_mismatches: tuple[str, ...] = ()  # classes where gadget != tracing
+    oracle_mismatches: tuple[str, ...] = ()  # classes where gadget != criterion
 
     def ok(self) -> bool:
         return not self.counterexamples
@@ -194,11 +194,11 @@ class FlipTheoremReport:
 def check_word_flips(word: str) -> tuple[int, tuple[FlipCounterexample, ...], bool]:
     """Sites checked, realizability-changing flips, and whether the oracles agree."""
     d = parse_word(word)
-    before = realizable_class(word)
+    before = is_realizable(d)
     bad: list[FlipCounterexample] = []
     sites = flip_sites(d)
     for site in sites:
-        after = realizable_class(canonical_form(apply_flip(d, site)).text)
+        after = is_realizable(apply_flip(d, site))
         if after != before:
             bad.append(FlipCounterexample(word, site.i, site.j, before, after))
     return len(sites), tuple(bad), gadget_planarity(d) == before

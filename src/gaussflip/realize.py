@@ -1,12 +1,38 @@
 """Realizability of Gauss diagrams as closed curves in the plane.
 
 A diagram is realizable when some closed curve on the sphere crosses
-itself exactly as the diagram prescribes.  The decision procedure is
-exhaustive over local pictures: at each crossing the two strands can meet
-transversally in exactly two ways, so a diagram with n chords has 2^n
-candidate embeddings.  Each candidate is a combinatorial map whose faces
-can be traced; the candidate lies on the sphere exactly when Euler's
-relation gives genus zero, i.e. when tracing yields n + 2 faces.
+itself exactly as the diagram prescribes.
+
+Decision procedure.  Rosenstiehl's criterion (C. R. Acad. Sci. Paris 283,
+1976; de Fraysseix and Ossona de Mendez, Discrete Comput. Geom. 22, 1999)
+reads the verdict off the interlacement graph.  A diagram is realizable
+exactly when
+
+1. every chord interlaces an even number of chords;
+2. every two chords that do not interlace share an even number of
+   interlacing neighbours;
+3. the interlaced pairs sharing an even number of neighbours form a cut:
+   the chords take colours 0 and 1 so that interlaced chords u and v
+   differ exactly when they share an even number of neighbours.
+
+On bitmask rows of the interlacement graph this costs O(n^2) word
+operations.
+
+Colourings are embeddings.  At each crossing the two strands can meet
+transversally in two ways (bit 0 or 1 below), so a diagram with n chords
+has 2^n candidate embeddings.  The planar ones are exactly the cut
+colourings c of condition 3, read as bit i = c[i] XOR (parity of chord
+i's first slot).  Swapping both colours on one connected component of the
+interlacement graph keeps a cut colouring a cut colouring, so a
+realizable diagram with k components has 2^k plane embeddings, and
+``realize_all`` traces only those.  The tests check this identity against
+exhaustive tracing on every class up to 6 chords.
+
+Face tracing.  Each candidate is a combinatorial map whose faces can be
+traced; it lies on the sphere exactly when Euler's relation gives genus
+zero, i.e. when tracing yields n + 2 faces.  The walk over all 2^n
+candidates remains for the least genus of an unrealizable diagram
+(``min_genus``) and as the oracle the criterion is tested against.
 
 Dart bookkeeping.  The curve visits slots 0..2n-1 in order, so there are
 2n arcs (arc a runs slot a -> slot a+1) and 4n darts: dart 2a is arc a
@@ -22,8 +48,8 @@ crossing visited at slots u and v are
 next-face-dart rule: after arriving on dart d, leave on the rotation
 successor of the reversed dart.
 
-A second, independent route to the same verdict replaces every crossing
-by a small square gadget whose corner order forces transversality; the
+A third, independent route to the verdict replaces every crossing by a
+small square gadget whose corner order forces transversality; the
 diagram is realizable exactly when the resulting ordinary graph is planar.
 """
 
@@ -162,21 +188,85 @@ def trace_faces(d: GaussDiagram, rs: RotationSystem) -> EmbeddingReport:
     return EmbeddingReport(d, rs, tuple(faces), f, euler_defect // 2)
 
 
-def _genera(d: GaussDiagram) -> Iterator[tuple[RotationSystem, int]]:
-    """Each transverse rotation system with the genus of its embedding."""
+def _genera(d: GaussDiagram) -> Iterator[int]:
+    """The genus of each transverse rotation system's embedding."""
     for rs in transverse_rotation_systems(d):
-        yield rs, (2 + d.n - _face_count(_rotation_successors(d, rs.bits))) // 2
+        yield (2 + d.n - _face_count(_rotation_successors(d, rs.bits))) // 2
+
+
+def _cut_colouring(d: GaussDiagram) -> tuple[int, list[int]] | None:
+    """Rosenstiehl's criterion: ``None``, or a cut colouring and the components.
+
+    The colouring is a bitmask (bit i is chord i's colour, 0 on the least
+    chord of each component); each component is a bitmask of its chords.
+    """
+    masks = d.interlacement_masks
+    n = d.n
+    if any(mask.bit_count() & 1 for mask in masks):
+        return None
+    for u in range(n):
+        for v in range(u + 1, n):
+            if not masks[u] >> v & 1 and (masks[u] & masks[v]).bit_count() & 1:
+                return None
+    colour = seen = 0
+    components: list[int] = []
+    for root in range(n):
+        if seen >> root & 1:
+            continue
+        seen |= 1 << root
+        component = 0
+        stack = [root]
+        while stack:
+            u = stack.pop()
+            component |= 1 << u
+            for v in range(n):
+                if not masks[u] >> v & 1:
+                    continue
+                # u and v differ exactly when they share evenly many neighbours
+                want = (colour >> u ^ 1 ^ (masks[u] & masks[v]).bit_count()) & 1
+                if seen >> v & 1:
+                    if colour >> v & 1 != want:
+                        return None
+                else:
+                    seen |= 1 << v
+                    colour |= want << v
+                    stack.append(v)
+        components.append(component)
+    return colour, components
 
 
 def realize_all(d: GaussDiagram) -> list[EmbeddingReport]:
-    """Every genus-zero embedding, in rotation-system order."""
-    return [trace_faces(d, rs) for rs, genus in _genera(d) if genus == 0]
+    """Every genus-zero embedding, in rotation-system order.
+
+    Only the 2^k systems of the cut colourings are traced, k the number of
+    components of the interlacement graph; each must trace to genus 0.
+    """
+    solved = _cut_colouring(d)
+    if solved is None:
+        return []
+    colour, components = solved
+    for i, (first, _) in enumerate(d.chord_slots):
+        colour ^= (first & 1) << i
+    keys = [colour]
+    for component in components:
+        keys += [k ^ component for k in keys]
+    reports = []
+    for k in sorted(keys):
+        bits = tuple(k >> i & 1 for i in range(d.n))
+        report = trace_faces(d, RotationSystem(bits))
+        if report.genus:
+            raise AssertionError(
+                f"rotation {bits} from a cut colouring of {d.word()}"
+                f" has genus {report.genus}"
+            )
+        reports.append(report)
+    return reports
 
 
 def min_genus(d: GaussDiagram) -> int:
     """Least genus over all 2^n transverse embeddings (0 iff realizable)."""
     best = d.n  # no genus exceeds n: one face already gives (n + 1) / 2
-    for _, genus in _genera(d):
+    for genus in _genera(d):
         if genus < best:
             best = genus
             if best == 0:
@@ -185,8 +275,8 @@ def min_genus(d: GaussDiagram) -> int:
 
 
 def is_realizable(d: GaussDiagram) -> bool:
-    """True when some transverse rotation system has n + 2 faces."""
-    return min_genus(d) == 0
+    """Rosenstiehl's criterion: True when a cut colouring exists."""
+    return _cut_colouring(d) is not None
 
 
 @lru_cache(maxsize=None)

@@ -73,9 +73,10 @@ class TestAnalyze:
         monkeypatch.setattr(realize, "trace_faces", counted_trace)
         cli.analysis_record(parse_word("AEBACBDCED"), "AEBACBDCED")
         assert counts == {"walks": 1, "systems": 32, "traces": 0}
-        counts["traces"] = 0
+        counts.update(walks=0, systems=0)
         record = cli.analysis_record(parse_word("ADBECADBEC"), "ADBECADBEC")
-        assert counts["traces"] == record["realizations"] == 2
+        assert counts == {"walks": 0, "systems": 0, "traces": 2}
+        assert record["realizations"] == 2
 
     def test_pair_syntax(self, capsys):
         code, out, _ = run_cli(capsys, "analyze", "0-2,1-3")
@@ -114,6 +115,13 @@ class TestCheck:
 
     def test_unrealizable_exit_one(self, capsys):
         assert run_cli(capsys, "check", "AEBACBDCED") == (1, "unrealizable\n", "")
+
+    def test_large_stars_decided_fast(self, capsys):
+        # every chord of a k-star crosses the other k - 1, so only odd k
+        # pass; tracing would walk up to 2^40 rotation systems for either
+        for k, code, out in ((41, 0, "realizable\n"), (40, 1, "unrealizable\n")):
+            star = " ".join([f"X{i}" for i in range(k)] * 2)
+            assert run_cli(capsys, "check", star) == (code, out, "")
 
     def test_garbage_exit_two(self, capsys):
         code, _, err = run_cli(capsys, "check", "A1B2")

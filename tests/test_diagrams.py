@@ -227,6 +227,8 @@ class TestInterlacement:
                     for j in range(i + 1, n):
                         want = oracle_interlaced(d.chord_slots[i], d.chord_slots[j])
                         assert g.has_edge(d.labels[i], d.labels[j]) == want
+                        # the criterion also reads the rows below the diagonal
+                        assert d.interlacement_masks[j] >> i & 1 == want
 
     def test_symmetric(self):
         for n in range(1, 7):

@@ -23,9 +23,8 @@ SPAN3 = parse_word("AEBACBDCED")
 DIAMETERS = parse_word("ADBECADBEC")
 MIXED = parse_word("ACDECABDEB")
 
-# classes found realizable among the 1, 2, 5, 17, 79, 554 for n = 1..6;
-# the sweep below pins the same numbers through the gadget oracle too
-REALIZABLE_COUNTS = (1, 1, 3, 5, 15, 43)
+# classes found realizable among the 1, 2, 5, 17, 79, 554, 5283 for n = 1..7
+REALIZABLE_COUNTS = (1, 1, 3, 5, 15, 43, 172)
 
 
 class TestRotationSystems:
@@ -85,7 +84,7 @@ class TestFaceTracing:
 
     def test_realize_all_and_min_genus_match_tracing_every_system(self):
         # reference: trace all 2^n systems, keep genus zero, take the least genus
-        for n in range(1, 6):
+        for n in range(1, 7):
             for word in canonical_words(n):
                 d = parse_word(word)
                 traced = [trace_faces(d, rs) for rs in transverse_rotation_systems(d)]
@@ -130,9 +129,16 @@ class TestVerdicts:
     def test_realizable_counts_small(self):
         got = tuple(
             sum(realizable_class(w) for w in canonical_words(n))
-            for n in range(1, 7)
+            for n in range(1, 8)
         )
         assert got == REALIZABLE_COUNTS
+
+    def test_three_derivations_agree_up_to_six(self):
+        # the criterion, exhaustive face tracing and the gadget's planarity
+        for n in range(1, 7):
+            for word in canonical_words(n):
+                d = parse_word(word)
+                assert is_realizable(d) == (min_genus(d) == 0) == gadget_planarity(d), word
 
 
 class TestGadgetOracle:
@@ -143,12 +149,6 @@ class TestGadgetOracle:
         assert gadget_planarity(parse_word("AA"))
         assert gadget_planarity(parse_word("AABB"))
         assert not gadget_planarity(parse_word("ABAB"))
-
-    def test_agrees_with_face_tracing_up_to_five(self):
-        for n in range(1, 6):
-            for word in canonical_words(n):
-                d = parse_word(word)
-                assert gadget_planarity(d) == is_realizable(d), word
 
 
 class TestCurveCodes:

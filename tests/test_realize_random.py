@@ -1,0 +1,67 @@
+"""Randomized checks of the realizability criterion beyond the exhaustive frontier.
+
+The exhaustive tests stop at 6 or 7 chords.  Here Hypothesis draws random
+words of up to 12 chords, where the criterion must agree with face tracing
+over all 2^n rotation systems, and realizable words of up to 14 chords
+built as connected sums, where the number of plane embeddings is known.
+"""
+
+from __future__ import annotations
+
+import networkx as nx
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gaussflip.diagrams import GaussDiagram, interlacement_graph
+from gaussflip.flips import apply_flip, flip_sites
+from gaussflip.realize import is_realizable, min_genus, realize_all
+
+# fixed examples keep the suite's run time and verdicts reproducible
+FUZZ = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def random_words(draw) -> GaussDiagram:
+    n = draw(st.integers(1, 12))
+    return GaussDiagram.from_tokens(draw(st.permutations(list(range(n)) * 2)))
+
+
+@st.composite
+def connected_sums(draw) -> GaussDiagram:
+    """Odd stars and isolated chords, each spliced into a gap of the word so far.
+
+    A star on k chords (k odd) reads 1..k twice; k = 1 is an isolated
+    chord.  Splicing a word into a gap of another keeps their chords from
+    interlacing, so the result is a connected sum of plane curves.
+    """
+    sizes = st.lists(st.sampled_from((1, 3, 5)), min_size=1, max_size=4)
+    tokens: list[str] = []
+    for piece, k in enumerate(draw(sizes.filter(lambda ks: sum(ks) <= 14))):
+        gap = draw(st.integers(0, len(tokens)))
+        tokens[gap:gap] = [f"{piece}.{c}" for c in range(k)] * 2
+    return GaussDiagram.from_tokens(tokens)
+
+
+def components(d: GaussDiagram) -> int:
+    inter = interlacement_graph(d)
+    graph = nx.Graph(inter.edges)
+    graph.add_nodes_from(inter.vertices)
+    return nx.number_connected_components(graph)
+
+
+@FUZZ
+@given(random_words())
+def test_criterion_matches_face_tracing(d):
+    assert is_realizable(d) == (min_genus(d) == 0), d.word()
+
+
+@FUZZ
+@given(connected_sums(), st.data())
+def test_connected_sums_and_their_flips(d, data):
+    sites = flip_sites(d)
+    variants = [d]
+    if sites:
+        variants.append(apply_flip(d, data.draw(st.sampled_from(sites))))
+    for v in variants:
+        assert is_realizable(v), v.word()
+        assert len(realize_all(v)) == 2 ** components(v), v.word()
