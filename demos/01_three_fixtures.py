@@ -22,10 +22,10 @@ for word in WORDS:
     inter = interlacement_graph(d)
     verdict = "realizable" if is_realizable(d) else "unrealizable"
     print(f"{word}")
-    print(f"  canonical form   {canonical_form(d).text}")
+    print(f"  canonical form   {canonical_form(d)}")
     print(f"  parity check     {'pass' if parity_check(d) else 'fail'}")
     degrees = " ".join(
-        f"{v}:{inter.degree(v)}" for v in inter.vertices
+        f"{v}:{deg}" for v, deg in zip(inter.vertices, inter.degrees)
     )
     print(f"  interlacement    {degrees}")
     print(f"  verdict          {verdict}, minimum genus {min_genus(d)}")

@@ -24,8 +24,8 @@ print()
 first = apply_flip(d, sites[0])
 other = parse_word("ACDECABDEB")
 print(f"flip at (i={sites[0].i}, j={sites[0].j}) gives {first.word()}")
-print(f"canonical form {canonical_form(first).text}")
-print(f"the second realizable word canonicalizes to {canonical_form(other).text}")
+print(f"canonical form {canonical_form(first)}")
+print(f"the second realizable word canonicalizes to {canonical_form(other)}")
 print()
 
 orbit = flip_orbit(d)

@@ -12,18 +12,18 @@ from gaussflip import curve_code, parse_word, realize_all
 for word in ("ADBECADBEC", "ACDECABDEB"):
     d = parse_word(word)
     reports = realize_all(d)
-    distinct = {curve_code(r).text for r in reports}
+    distinct = {curve_code(r) for r in reports}
     print(f"{word}: {len(reports)} planar embedding(s) of {2 ** d.n} systems")
     print(f"  the two embeddings are mirror images, {len(distinct)} curve code(s)")
     report = reports[0]
     faces = ",".join(str(x) for x in report.face_degrees())
-    print(f"  faces [{faces}]  code {curve_code(report).text}")
+    print(f"  faces [{faces}]  code {curve_code(report)}")
     for face in report.faces:
         print("    " + " ".join(report.dart_name(x) for x in face))
     print()
 
 codes = {
-    word: {curve_code(r).text for r in realize_all(parse_word(word))}
+    word: {curve_code(r) for r in realize_all(parse_word(word))}
     for word in ("ADBECADBEC", "ACDECABDEB")
 }
 overlap = set.intersection(*codes.values())

@@ -90,16 +90,16 @@ def analysis_record(d: GaussDiagram, raw: str) -> dict:
     gadget = gadget_planarity(d)
     curves: dict[str, tuple[int, ...]] = {}
     for report in reports:
-        curves.setdefault(curve_code(report).text, report.face_degrees())
+        curves.setdefault(curve_code(report), report.face_degrees())
     return {
         "input": raw,
         "word": d.word(),
         "chords": d.n,
-        "canonical": canonical_form(d).text,
+        "canonical": canonical_form(d),
         "parity": parity_check(d),
         "interlacement": {
             "labels": list(inter.vertices),
-            "degrees": list(inter.degrees()),
+            "degrees": list(inter.degrees),
             "edges": [[a, b] for a, b in inter.edges],
         },
         "realizable": realizable,

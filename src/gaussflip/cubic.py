@@ -374,7 +374,7 @@ def ham_census(g: CubicGraph) -> CensusReport:
     cycles = hamiltonian_cycles(g)
     per_word: Counter[str] = Counter()
     for h in cycles:
-        per_word[canonical_form(diagram_from_cycle(g, h)).text] += 1
+        per_word[canonical_form(diagram_from_cycle(g, h))] += 1
     entries = tuple(
         CensusEntry(word, count, realizable_class(word))
         for word, count in sorted(per_word.items())

@@ -22,7 +22,7 @@ import string
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 
 class DiagramError(ValueError):
@@ -47,6 +47,14 @@ def _chord_names(n: int) -> tuple[str, ...]:
     if n <= 26:
         return tuple(letters[:n])
     return tuple(letters[i % 26] + str(i // 26) for i in range(n))
+
+
+def _join_tokens(tokens: Sequence[str]) -> str:
+    """Single-character tokens concatenate; longer ones join with spaces.
+
+    Either way the result parses back to the same tokens.
+    """
+    return ("" if all(len(t) == 1 for t in tokens) else " ").join(tokens)
 
 
 @dataclass(frozen=True)
@@ -145,14 +153,8 @@ class GaussDiagram:
         return cls(len(tokens) // 2, tuple(pairing), tuple(first))
 
     def word(self) -> str:
-        """Render the diagram as a word, one token per slot.
-
-        Single-character labels concatenate; anything longer joins with
-        spaces so the result still parses back.
-        """
-        toks = [self.labels[cid] for cid in self.chord_of]
-        sep = "" if all(len(t) == 1 for t in toks) else " "
-        return sep.join(toks)
+        """Render the diagram as a word, one label per slot."""
+        return _join_tokens([self.labels[cid] for cid in self.chord_of])
 
     def rotated(self, k: int) -> GaussDiagram:
         """The diagram read starting from slot ``k``; labels carried over."""
@@ -239,13 +241,6 @@ def parse_diagram_input(text: str) -> GaussDiagram:
     return parse_word(text)
 
 
-@dataclass(frozen=True, order=True)
-class CanonicalWord:
-    """Class representative word; compares lexicographically."""
-
-    text: str
-
-
 def _canonical_tuple(chord_of: Sequence[int]) -> tuple[int, ...]:
     """Lex-least first-occurrence relabeling over all rotations/reflections."""
     m = len(chord_of)
@@ -288,52 +283,29 @@ def _is_canonical_sequence(seq: Sequence[int]) -> bool:
     return True
 
 
-def _render_sequence(seq: Sequence[int]) -> str:
-    names = _chord_names(max(seq) + 1)
-    toks = [names[x] for x in seq]
-    sep = "" if all(len(t) == 1 for t in toks) else " "
-    return sep.join(toks)
-
-
-def canonical_form(d: GaussDiagram) -> CanonicalWord:
+def canonical_form(d: GaussDiagram) -> str:
     """The lexicographically least word over all 4n symmetries of ``d``.
 
     Reading the circle from every start slot, in both directions, and
     relabeling by first occurrence gives 4n candidate words; the smallest
-    is a class invariant: two diagrams get the same ``CanonicalWord``
-    exactly when one is a rotation and/or reflection of the other.
+    is a class invariant: two diagrams get the same word exactly when one
+    is a rotation and/or reflection of the other.
     """
-    return CanonicalWord(_render_sequence(_canonical_tuple(d.chord_of)))
+    names = _chord_names(d.n)
+    return _join_tokens([names[x] for x in _canonical_tuple(d.chord_of)])
 
 
 @dataclass(frozen=True)
 class InterlacementGraph:
-    """Chords as vertices; edges join chords whose endpoints alternate."""
+    """Chords as vertices; edges join chords whose endpoints alternate.
+
+    Each edge is listed once, as (earlier chord, later chord); ``degrees``
+    follows vertex (= first occurrence) order.
+    """
 
     vertices: tuple[str, ...]
     edges: tuple[tuple[str, str], ...]
-
-    @cached_property
-    def _adjacency(self) -> dict[str, frozenset[str]]:
-        nbrs: dict[str, set[str]] = {v: set() for v in self.vertices}
-        for a, b in self.edges:
-            nbrs[a].add(b)
-            nbrs[b].add(a)
-        return {v: frozenset(s) for v, s in nbrs.items()}
-
-    def has_edge(self, a: str, b: str) -> bool:
-        return b in self._adjacency[a]
-
-    def neighbors(self, v: str) -> tuple[str, ...]:
-        order = {u: i for i, u in enumerate(self.vertices)}
-        return tuple(sorted(self._adjacency[v], key=order.__getitem__))
-
-    def degree(self, v: str) -> int:
-        return len(self._adjacency[v])
-
-    def degrees(self) -> tuple[int, ...]:
-        """Degree of each chord, in vertex (= first occurrence) order."""
-        return tuple(len(self._adjacency[v]) for v in self.vertices)
+    degrees: tuple[int, ...]
 
     def to_dot(self, name: str = "interlacement") -> str:
         lines = [f"graph {name} {{"]
@@ -347,12 +319,14 @@ class InterlacementGraph:
 
 def interlacement_graph(d: GaussDiagram) -> InterlacementGraph:
     """Edges join chords with exactly one endpoint inside the other's arc."""
+    masks = d.interlacement_masks
     edges: list[tuple[str, str]] = []
-    for i, mask in enumerate(d.interlacement_masks):
+    for i, mask in enumerate(masks):
         for j in range(i + 1, d.n):
             if mask >> j & 1:
                 edges.append((d.labels[i], d.labels[j]))
-    return InterlacementGraph(tuple(d.labels), tuple(edges))
+    degrees = tuple(mask.bit_count() for mask in masks)
+    return InterlacementGraph(d.labels, tuple(edges), degrees)
 
 
 def parity_check(d: GaussDiagram) -> bool:
@@ -394,7 +368,7 @@ def enumerate_diagrams(n: int) -> Iterator[GaussDiagram]:
 
     Practical up to n = 8 or so; the stream filters the (2n-1)!! pairings
     down to canonical representatives, so each yielded diagram satisfies
-    ``d.word() == canonical_form(d).text``.
+    ``d.word() == canonical_form(d)``.
     """
     if n < 1:
         raise DiagramError("chord count must be at least 1")
@@ -404,13 +378,6 @@ def enumerate_diagrams(n: int) -> Iterator[GaussDiagram]:
             yield GaussDiagram.from_tokens([names[x] for x in seq])
 
 
-@lru_cache(maxsize=None)
-def _canonical_words_cached(n: int) -> tuple[str, ...]:
-    return tuple(d.word() for d in enumerate_diagrams(n))
-
-
 def canonical_words(n: int) -> tuple[str, ...]:
-    """Canonical words with n chords, ascending; cached for small n."""
-    if n <= 6:
-        return _canonical_words_cached(n)
+    """Canonical words with n chords, ascending."""
     return tuple(d.word() for d in enumerate_diagrams(n))

@@ -12,6 +12,7 @@ the theorem this package exists to check -- preserves realizability.
 
 from __future__ import annotations
 
+import os
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -121,7 +122,7 @@ def flip_orbit(d: GaussDiagram) -> FlipOrbit:
     Members carry realizability verdicts; edges record which site of which
     member produced which class (on canonical representatives).
     """
-    start = canonical_form(d).text
+    start = canonical_form(d)
     queue = deque([start])
     found = {start}
     edges: list[tuple[str, tuple[int, int], str]] = []
@@ -129,7 +130,7 @@ def flip_orbit(d: GaussDiagram) -> FlipOrbit:
         word = queue.popleft()
         rep = parse_word(word)
         for site in flip_sites(rep):
-            target = canonical_form(apply_flip(rep, site)).text
+            target = canonical_form(apply_flip(rep, site))
             edges.append((word, (site.i, site.j), target))
             if target not in found:
                 found.add(target)
@@ -205,10 +206,15 @@ def check_word_flips(word: str) -> tuple[int, tuple[FlipCounterexample, ...], bo
 
 
 def verify_flip_theorem(max_n: int, workers: int = 1) -> FlipTheoremReport:
-    """Check flips and oracle agreement over all classes n <= max_n in one pass."""
+    """Check flips and oracle agreement over all classes n <= max_n in one pass.
+
+    At most one worker process per CPU is started: the pool starts all of
+    its workers at once, and the report is the same for any count.
+    """
     if max_n < 2:
         raise FlipError(f"max chord count must be at least 2, got {max_n}")
     words = [w for n in range(1, max_n + 1) for w in canonical_words(n)]
+    workers = min(workers, os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(check_word_flips, words, chunksize=16))

@@ -72,24 +72,15 @@ class NotAPlaneCurveError(RealizeError):
     """Raised when a sphere-only operation meets a positive-genus embedding."""
 
 
-@dataclass(frozen=True)
-class RotationSystem:
-    """One transverse choice per chord, in chord-id order."""
+def transverse_rotation_systems(d: GaussDiagram) -> Iterator[int]:
+    """All 2^n transverse rotation systems as keys 0 .. 2^n - 1, ascending.
 
-    bits: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if any(b not in (0, 1) for b in self.bits):
-            raise RealizeError("rotation bits must be 0 or 1")
+    Bit i of a key is chord i's transverse choice.
+    """
+    yield from range(1 << d.n)
 
 
-def transverse_rotation_systems(d: GaussDiagram) -> Iterator[RotationSystem]:
-    """All 2^n transverse rotation systems, ascending as bit-vectors."""
-    for k in range(1 << d.n):
-        yield RotationSystem(tuple((k >> i) & 1 for i in range(d.n)))
-
-
-def _rotation_successors(d: GaussDiagram, bits: tuple[int, ...]) -> list[int]:
+def _rotation_successors(d: GaussDiagram, key: int) -> list[int]:
     """Permutation of darts: successor in the cyclic order at each crossing.
 
     Ends are identified with the dart that departs through them: the out
@@ -103,10 +94,10 @@ def _rotation_successors(d: GaussDiagram, bits: tuple[int, ...]) -> list[int]:
         in_v = 2 * ((v - 1) % m) + 1
         out_u = 2 * u
         out_v = 2 * v
-        if bits[cid] == 0:
-            order = (in_u, in_v, out_u, out_v)
-        else:
+        if key >> cid & 1:
             order = (in_u, out_v, out_u, in_v)
+        else:
+            order = (in_u, in_v, out_u, out_v)
         for a, b in zip(order, order[1:] + order[:1]):
             succ[a] = b
     return succ
@@ -131,7 +122,7 @@ class EmbeddingReport:
     """A traced embedding: faces as dart cycles, plus count and genus."""
 
     diagram: GaussDiagram
-    rotation: RotationSystem
+    rotation: int  # the rotation system's key
     faces: tuple[tuple[int, ...], ...]
     face_count: int
     genus: int
@@ -153,22 +144,22 @@ class EmbeddingReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "rotation": list(self.rotation.bits),
+            "rotation": [self.rotation >> i & 1 for i in range(self.diagram.n)],
             "face_count": self.face_count,
             "genus": self.genus,
             "faces": [list(f) for f in self.named_faces()],
         }
 
 
-def trace_faces(d: GaussDiagram, rs: RotationSystem) -> EmbeddingReport:
-    """Trace every face orbit of the map (d, rs).
+def trace_faces(d: GaussDiagram, key: int) -> EmbeddingReport:
+    """Trace every face orbit of the map of rotation system ``key`` on d.
 
     Faces are listed by their least dart, each rotated to start at it; the
     report's genus comes from Euler's relation n - 2n + F = 2 - 2g.
     """
-    if len(rs.bits) != d.n:
-        raise RealizeError(f"{len(rs.bits)} bits for {d.n} chords")
-    succ = _rotation_successors(d, rs.bits)
+    if not 0 <= key < 1 << d.n:
+        raise RealizeError(f"rotation key {key} outside 0..{(1 << d.n) - 1}")
+    succ = _rotation_successors(d, key)
     nd = len(succ)
     seen = bytearray(nd)
     faces: list[tuple[int, ...]] = []
@@ -185,13 +176,7 @@ def trace_faces(d: GaussDiagram, rs: RotationSystem) -> EmbeddingReport:
     f = len(faces)
     euler_defect = 2 + d.n - f
     assert euler_defect % 2 == 0 and euler_defect >= 0, "impossible face count"
-    return EmbeddingReport(d, rs, tuple(faces), f, euler_defect // 2)
-
-
-def _genera(d: GaussDiagram) -> Iterator[int]:
-    """The genus of each transverse rotation system's embedding."""
-    for rs in transverse_rotation_systems(d):
-        yield (2 + d.n - _face_count(_rotation_successors(d, rs.bits))) // 2
+    return EmbeddingReport(d, key, tuple(faces), f, euler_defect // 2)
 
 
 def _cut_colouring(d: GaussDiagram) -> tuple[int, list[int]] | None:
@@ -251,12 +236,11 @@ def realize_all(d: GaussDiagram) -> list[EmbeddingReport]:
     for component in components:
         keys += [k ^ component for k in keys]
     reports = []
-    for k in sorted(keys):
-        bits = tuple(k >> i & 1 for i in range(d.n))
-        report = trace_faces(d, RotationSystem(bits))
+    for key in sorted(keys):
+        report = trace_faces(d, key)
         if report.genus:
             raise AssertionError(
-                f"rotation {bits} from a cut colouring of {d.word()}"
+                f"rotation {key} from a cut colouring of {d.word()}"
                 f" has genus {report.genus}"
             )
         reports.append(report)
@@ -266,7 +250,8 @@ def realize_all(d: GaussDiagram) -> list[EmbeddingReport]:
 def min_genus(d: GaussDiagram) -> int:
     """Least genus over all 2^n transverse embeddings (0 iff realizable)."""
     best = d.n  # no genus exceeds n: one face already gives (n + 1) / 2
-    for genus in _genera(d):
+    for key in transverse_rotation_systems(d):
+        genus = (2 + d.n - _face_count(_rotation_successors(d, key))) // 2
         if genus < best:
             best = genus
             if best == 0:
@@ -292,6 +277,37 @@ def gadget_planarity(d: GaussDiagram) -> bool:
     transverse order (both transverse orders give the same square, so no
     choice is made); consecutive slots are joined corner to corner.  The
     diagram is realizable exactly when this ordinary graph is planar.
+
+    Soundness.  Argue on the multigraph with every joining edge drawn;
+    merging the parallel edges of a chord at adjacent slots does not
+    change planarity.  Write Q_c for the square of chord c at slots u < v.
+
+    Realizable gives planar: blow each crossing of a plane curve up into
+    a small square whose corners are its four arc ends.  They meet the
+    square in the crossing's cyclic order, which is transverse, so its
+    sides are the gadget's four edges, and the arcs between crossings
+    are the joining edges: a plane drawing of the gadget graph.
+
+    Planar gives realizable: fix a plane embedding.  In and out of a slot
+    are opposite corners of its square, joined through it, so removing
+    Q_c leaves at most two connected pieces, the slots strictly between
+    u and v and those strictly between v and u.  They attach to Q_c at
+    the adjacent corners {in(v), out(u)} and {out(v), in(u)}.
+
+    - If c interlaces some chord, that chord's square joins the pieces,
+      so the rest of the graph lies on one side of the cycle Q_c and the
+      other side is a face.  The four joining edges then leave Q_c in
+      the cyclic order of its corners, and collapsing the square to a
+      point gives the transverse order in(u), in(v), out(u), out(v) or
+      its mirror.
+    - If c interlaces nothing and the pieces lie on opposite sides of
+      Q_c, one of them meets the rest only at its two adjacent corners.
+      Flip it across that 2-separation into the face beyond their side
+      of the square.  No other square changes which side holds what, and
+      now the case above applies.
+
+    Collapsing every square turns the joining edges into a plane curve
+    that crosses itself transversally, in the diagram's order.
     """
     m = 2 * d.n
     corner_in = [2 * s for s in range(m)]
@@ -311,13 +327,6 @@ def gadget_planarity(d: GaussDiagram) -> bool:
     graph.add_nodes_from(range(2 * m))
     graph.add_edges_from(edges)
     return bool(nx.check_planarity(graph)[0])
-
-
-@dataclass(frozen=True, order=True)
-class CurveCode:
-    """Canonical name of a plane curve; equal codes mean same curve."""
-
-    text: str
 
 
 def _encode_map(root: int, succ: list[int]) -> tuple[int, ...]:
@@ -341,7 +350,7 @@ def _encode_map(root: int, succ: list[int]) -> tuple[int, ...]:
     return tuple(code)
 
 
-def curve_code(report: EmbeddingReport) -> CurveCode:
+def curve_code(report: EmbeddingReport) -> str:
     """Canonical code of the plane curve a genus-zero embedding draws.
 
     Minimizes the breadth-first map encoding over every root dart and both
@@ -354,7 +363,7 @@ def curve_code(report: EmbeddingReport) -> CurveCode:
         raise NotAPlaneCurveError(
             f"embedding has genus {report.genus}, not a plane curve"
         )
-    succ = _rotation_successors(report.diagram, report.rotation.bits)
+    succ = _rotation_successors(report.diagram, report.rotation)
     nd = len(succ)
     inv = [0] * nd
     for a, b in enumerate(succ):
@@ -364,7 +373,4 @@ def curve_code(report: EmbeddingReport) -> CurveCode:
         for sigma in (succ, inv)
         for root in range(nd)
     )
-    text = "-".join(
-        f"{best[i]}.{best[i + 1]}" for i in range(0, len(best), 2)
-    )
-    return CurveCode(text)
+    return "-".join(f"{best[i]}.{best[i + 1]}" for i in range(0, len(best), 2))

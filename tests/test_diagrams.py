@@ -157,9 +157,10 @@ class TestSymmetries:
         assert d.reflected().reflected() == d
 
     def test_canonical_examples(self):
-        assert canonical_form(parse_word("BAAB")).text == "AABB"
-        assert canonical_form(parse_word("ABAB")).text == "ABAB"
-        assert canonical_form(parse_word(WORD_DIAMETERS)).text == "ABCDEABCDE"
+        assert isinstance(canonical_form(parse_word("BAAB")), str)
+        assert canonical_form(parse_word("BAAB")) == "AABB"
+        assert canonical_form(parse_word("ABAB")) == "ABAB"
+        assert canonical_form(parse_word(WORD_DIAMETERS)) == "ABCDEABCDE"
         assert (
             canonical_form(parse_word(WORD_DIAMETERS))
             != canonical_form(parse_word(WORD_ALL_SPAN3))
@@ -184,58 +185,60 @@ class TestSymmetries:
             rng.shuffle(slots)
             pairs = [(slots[2 * i], slots[2 * i + 1]) for i in range(n)]
             d = from_chord_pairs(pairs)
-            assert canonical_form(d).text in members[n]
+            assert canonical_form(d) in members[n]
 
     def test_canonical_idempotent(self):
         for n in range(1, 6):
             for word in canonical_words(n):
-                assert canonical_form(parse_word(word)).text == word
+                assert canonical_form(parse_word(word)) == word
 
 
 class TestInterlacement:
     def test_five_cycle(self):
         g = interlacement_graph(parse_word(WORD_ALL_SPAN3))
-        assert g.degrees() == (2, 2, 2, 2, 2)
+        assert g.degrees == (2, 2, 2, 2, 2)
         # a 2-regular graph on 5 vertices is a 5-cycle iff connected
         seen = {"A"}
-        frontier = ["A"]
-        while frontier:
-            v = frontier.pop()
-            for w in g.neighbors(v):
-                if w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
+        grown = True
+        while grown:
+            grown = False
+            for a, b in g.edges:
+                if (a in seen) != (b in seen):
+                    seen |= {a, b}
+                    grown = True
         assert seen == set(g.vertices)
 
     def test_complete_on_diameters(self):
         g = interlacement_graph(parse_word(WORD_DIAMETERS))
-        assert g.degrees() == (4, 4, 4, 4, 4)
+        assert g.degrees == (4, 4, 4, 4, 4)
         assert len(g.edges) == 10
 
     def test_nested_and_disjoint_are_not_edges(self):
         g = interlacement_graph(parse_word("ABBA"))
-        assert g.degrees() == (0, 0)
+        assert g.degrees == (0, 0)
+        assert g.edges == ()
         g = interlacement_graph(parse_word("AABB"))
-        assert g.degrees() == (0, 0)
+        assert g.degrees == (0, 0)
+        assert g.edges == ()
 
     def test_against_alternation_oracle(self):
         for n in range(1, 5):
             for p in brute_pairings(2 * n):
                 d = GaussDiagram(n, p)
                 g = interlacement_graph(d)
+                want_edges = []
                 for i in range(n):
                     for j in range(i + 1, n):
                         want = oracle_interlaced(d.chord_slots[i], d.chord_slots[j])
-                        assert g.has_edge(d.labels[i], d.labels[j]) == want
+                        if want:
+                            want_edges.append((d.labels[i], d.labels[j]))
                         # the criterion also reads the rows below the diagonal
                         assert d.interlacement_masks[j] >> i & 1 == want
-
-    def test_symmetric(self):
-        for n in range(1, 7):
-            for word in canonical_words(n):
-                g = interlacement_graph(parse_word(word))
-                for a, b in g.edges:
-                    assert g.has_edge(b, a)
+                assert g.edges == tuple(want_edges)
+                # degrees come from the rows' popcounts, edges from above the diagonal
+                assert g.degrees == tuple(
+                    sum(v in e for e in want_edges) for v in d.labels
+                )
 
     def test_dot_output(self):
         dot = interlacement_graph(parse_word("ABAB")).to_dot()
@@ -256,7 +259,7 @@ class TestParity:
             for word in canonical_words(n):
                 d = parse_word(word)
                 g = interlacement_graph(d)
-                even = all(deg % 2 == 0 for deg in g.degrees())
+                even = all(deg % 2 == 0 for deg in g.degrees)
                 assert parity_check(d) == even
 
 
@@ -279,7 +282,7 @@ class TestEnumeration:
             assert list(words) == sorted(set(words))
             sample = words[:: max(1, len(words) // 20)]
             for w in sample:
-                assert canonical_form(parse_word(w)).text == w
+                assert canonical_form(parse_word(w)) == w
 
     def test_small_streams_exact(self):
         assert canonical_words(1) == ("AA",)

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
+from gaussflip import flips
 from gaussflip.cubic import are_isomorphic, graph_from_diagram
 from gaussflip.diagrams import canonical_form, canonical_words, parse_word
 from gaussflip.flips import (
@@ -201,6 +204,32 @@ class TestTheoremSweep:
         serial = verify_flip_theorem(3)
         parallel = verify_flip_theorem(3, workers=2)
         assert serial == parallel
+
+    def test_workers_capped_at_cpu_count(self, monkeypatch):
+        # the pool starts every worker up front, so a recorder stands in for it
+        pools = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(flips, "ProcessPoolExecutor", RecordingPool)
+        serial = verify_flip_theorem(3, workers=1)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert verify_flip_theorem(3, workers=10**6) == serial
+        assert pools == [2]
+        monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: one worker
+        assert verify_flip_theorem(3, workers=4) == serial
+        assert pools == [2]
 
     def test_check_word_flips(self):
         sites, bad, agrees = check_word_flips("ABCDEABCDE")

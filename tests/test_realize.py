@@ -8,7 +8,6 @@ from gaussflip.diagrams import canonical_words, parse_word
 from gaussflip.realize import (
     NotAPlaneCurveError,
     RealizeError,
-    RotationSystem,
     curve_code,
     gadget_planarity,
     is_realizable,
@@ -29,27 +28,25 @@ REALIZABLE_COUNTS = (1, 1, 3, 5, 15, 43, 172)
 
 class TestRotationSystems:
     def test_count_and_order(self):
-        d = parse_word("ABCABC")
-        systems = list(transverse_rotation_systems(d))
-        assert len(systems) == 8
-        assert systems[0].bits == (0, 0, 0)
-        assert systems[1].bits == (1, 0, 0)
-        assert systems[-1].bits == (1, 1, 1)
-        as_ints = [sum(b << i for i, b in enumerate(rs.bits)) for rs in systems]
-        assert as_ints == list(range(8))
+        # keys ascend over every choice; bit i is chord i's transverse choice
+        systems = list(transverse_rotation_systems(parse_word("ABCABC")))
+        assert systems == list(range(8))
 
     def test_bits_validated(self):
+        # a negative key names no choice of bits
         with pytest.raises(RealizeError):
-            RotationSystem((0, 2))
+            trace_faces(parse_word("ABAB"), -1)
 
     def test_bit_count_must_match(self):
+        # 2^n needs n + 1 bits
         with pytest.raises(RealizeError):
-            trace_faces(parse_word("ABAB"), RotationSystem((0,)))
+            trace_faces(parse_word("ABAB"), 4)
+        assert trace_faces(parse_word("ABAB"), 3).rotation == 3
 
 
 class TestFaceTracing:
     def test_single_chord_first_system(self):
-        report = trace_faces(parse_word("AA"), RotationSystem((0,)))
+        report = trace_faces(parse_word("AA"), 0)
         assert report.face_count == 3
         assert report.genus == 0
         assert report.face_degrees() == (1, 1, 2)
@@ -88,8 +85,8 @@ class TestFaceTracing:
             for word in canonical_words(n):
                 d = parse_word(word)
                 traced = [trace_faces(d, rs) for rs in transverse_rotation_systems(d)]
-                want = [(r.rotation.bits, r.faces) for r in traced if r.genus == 0]
-                got = [(r.rotation.bits, r.faces) for r in realize_all(d)]
+                want = [(r.rotation, r.faces) for r in traced if r.genus == 0]
+                got = [(r.rotation, r.faces) for r in realize_all(d)]
                 assert got == want, word
                 assert min_genus(d) == min(r.genus for r in traced), word
 
@@ -101,12 +98,14 @@ class TestFaceTracing:
             assert sorted(darts) == list(range(4 * d.n))
 
     def test_json_dict_shape(self):
-        report = trace_faces(parse_word("AA"), RotationSystem((0,)))
+        report = trace_faces(parse_word("AA"), 0)
         data = report.to_json_dict()
         assert data["rotation"] == [0]
         assert data["face_count"] == 3
         assert data["genus"] == 0
         assert data["faces"][0] == ["A@0+"]
+        # the key's bits in chord order
+        assert trace_faces(parse_word("ABCABC"), 6).to_json_dict()["rotation"] == [0, 1, 1]
 
 
 class TestVerdicts:
@@ -154,7 +153,7 @@ class TestGadgetOracle:
 class TestCurveCodes:
     def test_rejects_positive_genus(self):
         d = parse_word("ABAB")
-        report = trace_faces(d, RotationSystem((0, 0)))
+        report = trace_faces(d, 0)
         assert report.genus == 1
         with pytest.raises(NotAPlaneCurveError):
             curve_code(report)
@@ -172,8 +171,8 @@ class TestCurveCodes:
         assert {r.face_degrees() for r in reports} == {(2, 2, 2, 3, 3, 4, 4)}
 
     def test_codes_of_fixtures_disjoint(self):
-        codes_d = {curve_code(r).text for r in realize_all(DIAMETERS)}
-        codes_m = {curve_code(r).text for r in realize_all(MIXED)}
+        codes_d = {curve_code(r) for r in realize_all(DIAMETERS)}
+        codes_m = {curve_code(r) for r in realize_all(MIXED)}
         assert codes_d and codes_m
         assert not (codes_d & codes_m)
 
@@ -181,15 +180,16 @@ class TestCurveCodes:
         for n in range(1, 5):
             for word in canonical_words(n):
                 d = parse_word(word)
-                codes = {curve_code(r).text for r in realize_all(d)}
+                codes = {curve_code(r) for r in realize_all(d)}
                 if not codes:
                     continue
                 for variant in (d.rotated(1), d.rotated(3), d.reflected()):
-                    got = {curve_code(r).text for r in realize_all(variant)}
+                    got = {curve_code(r) for r in realize_all(variant)}
                     assert got == codes, word
 
     def test_code_text_is_single_token(self):
         report = realize_all(parse_word("AA"))[0]
-        text = curve_code(report).text
+        text = curve_code(report)
+        assert isinstance(text, str)
         assert " " not in text
         assert text.count("-") == len(text.split("-")) - 1

@@ -4,6 +4,7 @@ The exhaustive tests stop at 6 or 7 chords.  Here Hypothesis draws random
 words of up to 12 chords, where the criterion must agree with face tracing
 over all 2^n rotation systems, and realizable words of up to 14 chords
 built as connected sums, where the number of plane embeddings is known.
+The gadget's planarity must give the same verdict on both.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from gaussflip.diagrams import GaussDiagram, interlacement_graph
 from gaussflip.flips import apply_flip, flip_sites
-from gaussflip.realize import is_realizable, min_genus, realize_all
+from gaussflip.realize import gadget_planarity, is_realizable, min_genus, realize_all
 
 # fixed examples keep the suite's run time and verdicts reproducible
 FUZZ = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -23,7 +24,7 @@ FUZZ = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @st.composite
 def random_words(draw) -> GaussDiagram:
     n = draw(st.integers(1, 12))
-    return GaussDiagram.from_tokens(draw(st.permutations(list(range(n)) * 2)))
+    return GaussDiagram.from_tokens(draw(st.permutations([str(c) for c in range(n)] * 2)))
 
 
 @st.composite
@@ -52,7 +53,9 @@ def components(d: GaussDiagram) -> int:
 @FUZZ
 @given(random_words())
 def test_criterion_matches_face_tracing(d):
-    assert is_realizable(d) == (min_genus(d) == 0), d.word()
+    verdict = is_realizable(d)
+    assert verdict == (min_genus(d) == 0), d.word()
+    assert gadget_planarity(d) == verdict, d.word()
 
 
 @FUZZ
@@ -64,4 +67,5 @@ def test_connected_sums_and_their_flips(d, data):
         variants.append(apply_flip(d, data.draw(st.sampled_from(sites))))
     for v in variants:
         assert is_realizable(v), v.word()
+        assert gadget_planarity(v), v.word()
         assert len(realize_all(v)) == 2 ** components(v), v.word()
