@@ -340,42 +340,97 @@ def parity_check(d: GaussDiagram) -> bool:
     return all((u + v) % 2 == 1 for u, v in d.chord_slots)
 
 
-def _double_occurrence_sequences(n: int) -> Iterator[tuple[int, ...]]:
-    """All first-occurrence-labeled words with n chords, lex ascending."""
-    m = 2 * n
-    seq: list[int] = []
-
-    def rec(opened: int, open_ids: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        t = len(seq)
-        if t == m:
-            yield tuple(seq)
-            return
-        remaining = m - t
-        for cid in open_ids:  # ascending ids keep the stream lexicographic
-            seq.append(cid)
-            yield from rec(opened, tuple(x for x in open_ids if x != cid))
-            seq.pop()
-        if opened < n and remaining >= len(open_ids) + 2:
-            seq.append(opened)
-            yield from rec(opened + 1, open_ids + (opened,))
-            seq.pop()
-
-    return rec(0, ())
-
-
 def enumerate_diagrams(n: int) -> Iterator[GaussDiagram]:
     """Yield one representative per diagram class, ascending canonical word.
 
-    Practical up to n = 8 or so; the stream filters the (2n-1)!! pairings
-    down to canonical representatives, so each yielded diagram satisfies
-    ``d.word() == canonical_form(d)``.
+    Orderly generation (McKay, "Isomorph-free exhaustive generation",
+    J. Algorithms 26, 1998): first-occurrence-labeled words are grown slot
+    by slot in lexicographic order, and a prefix is dropped as soon as some
+    rotation or reflection whose read lies wholly inside it relabels to
+    something strictly smaller.  Such a read is the start of that
+    symmetry's full read whatever fills the remaining slots, so every word
+    below a dropped prefix has a strictly smaller symmetric image and is not
+    canonical.  Pruning therefore removes only words the exact test would
+    reject; complete words still pass ``_is_canonical_sequence``, and each
+    yielded diagram satisfies ``d.word() == canonical_form(d)``.
+
+    * Rotations: every start still tied with the prefix is a live candidate.
+      While tied, its read equals the prefix, so its relabeling is read off
+      the prefix itself.  Each new slot advances every candidate by one
+      symbol; a candidate that reads larger drops out for good.
+    * Reflections: the one starting at the new slot reads back to slot 0,
+      so it is complete when that slot is placed and is checked then.
     """
     if n < 1:
         raise DiagramError("chord count must be at least 1")
     names = _chord_names(n)
-    for seq in _double_occurrence_sequences(n):
-        if _is_canonical_sequence(seq):
-            yield GaussDiagram.from_tokens([names[x] for x in seq])
+    m = 2 * n
+    seq = [0]  # slot 0 always opens chord 0
+    first = [0]  # slot of each chord's first end
+    partner = [-1] * m  # the other end of a slot, once both ends are placed
+    # opened[k]: chords opened in seq[:k], which is also the next new label
+    # of any read that has tied the prefix for k symbols
+    opened = [0, 1]
+
+    def rotations_tied(live: tuple[int, ...], t: int) -> tuple[int, ...] | None:
+        """Live starts after slot t is placed; ``None`` if one reads smaller."""
+        q = partner[t]
+        tied = []
+        for s in live:
+            k = t - s
+            # a chord whose first end this read has passed (at index q - s)
+            # repeats that index's label; any other symbol is new to it
+            v = seq[q - s] if q >= s else opened[k]
+            if v < seq[k]:
+                return None
+            if v == seq[k]:
+                tied.append(s)
+        tied.append(t)  # the read from t: one new symbol, 0, ties slot 0
+        return tuple(tied)
+
+    def reflection_smaller(t: int) -> bool:
+        """The read from slot t down to slot 0 relabels below the prefix."""
+        for i in range(t + 1):
+            r = t - i
+            q = partner[r]
+            # reading downwards, the end at q > r was read first, at t - q
+            v = seq[t - q] if q > r else opened[i]
+            if v != seq[i]:
+                return v < seq[i]
+        return False
+
+    def extend(
+        live: tuple[int, ...], open_ids: tuple[int, ...]
+    ) -> Iterator[GaussDiagram]:
+        t = len(seq)
+        if t == m:
+            if _is_canonical_sequence(seq):
+                yield GaussDiagram.from_tokens([names[x] for x in seq])
+            return
+        new = len(first)
+        can_open = new < n and m - t >= len(open_ids) + 2
+        # ascending ids keep the stream lexicographic
+        for x in open_ids + ((new,) if can_open else ()):
+            seq.append(x)
+            if x == new:
+                first.append(t)
+                opened.append(new + 1)
+                rest = open_ids + (x,)
+            else:
+                partner[t], partner[first[x]] = first[x], t
+                opened.append(new)
+                rest = tuple(y for y in open_ids if y != x)
+            tied = rotations_tied(live, t)
+            if tied is not None and not reflection_smaller(t):
+                yield from extend(tied, rest)
+            seq.pop()
+            opened.pop()
+            if x == new:
+                first.pop()
+            else:
+                partner[t] = partner[first[x]] = -1
+
+    yield from extend((), (0,))
 
 
 def canonical_words(n: int) -> tuple[str, ...]:

@@ -6,7 +6,9 @@ import random
 
 import pytest
 
+from gaussflip import diagrams
 from gaussflip.diagrams import (
+    DiagramError,
     EmptyDiagramError,
     GaussDiagram,
     MalformedWordError,
@@ -21,6 +23,7 @@ from gaussflip.diagrams import (
     parse_diagram_input,
     parse_word,
 )
+from gaussflip.diagrams import _chord_names, _is_canonical_sequence
 
 # Five-chord companions used across the suite: all three live on the same
 # cubic graph (see test_cubic) but only the last two bound plane curves.
@@ -28,9 +31,10 @@ WORD_ALL_SPAN3 = "AEBACBDCED"  # every chord skips 2 slots; unrealizable
 WORD_DIAMETERS = "ADBECADBEC"  # five diameters; realizable
 WORD_MIXED_SPANS = "ACDECABDEB"  # realizable, different curve
 
-# Class counts for n = 1..6 under rotation+reflection.  Confirmed by the
-# brute-force orbit count below and, for n = 4, by a hand Burnside count.
-CLASS_COUNTS = (1, 2, 5, 17, 79, 554)
+# Class counts for n = 1..7 under rotation+reflection (OEIS A007769).
+# Confirmed by the brute-force orbit count below up to n = 5 and, for
+# n = 4, by a hand Burnside count.
+CLASS_COUNTS = (1, 2, 5, 17, 79, 554, 5283)
 
 
 def brute_pairings(m: int) -> list[tuple[int, ...]]:
@@ -54,6 +58,37 @@ def brute_pairings(m: int) -> list[tuple[int, ...]]:
 
     rec({})
     return out
+
+
+def filtered_canonical_words(n: int) -> tuple[str, ...]:
+    """Reference stream: every first-occurrence-labeled word, lex ascending,
+    kept when ``_is_canonical_sequence`` accepts it.
+
+    This is how ``enumerate_diagrams`` worked before it pruned prefixes:
+    all (2n-1)!! words are built and filtered.
+    """
+    m = 2 * n
+    names = _chord_names(n)
+    seq: list[int] = []
+    out: list[str] = []
+
+    def rec(opened: int, open_ids: tuple[int, ...]) -> None:
+        t = len(seq)
+        if t == m:
+            if _is_canonical_sequence(seq):
+                out.append("".join(names[x] for x in seq))
+            return
+        for cid in open_ids:
+            seq.append(cid)
+            rec(opened, tuple(x for x in open_ids if x != cid))
+            seq.pop()
+        if opened < n and m - t >= len(open_ids) + 2:
+            seq.append(opened)
+            rec(opened + 1, open_ids + (opened,))
+            seq.pop()
+
+    rec(0, ())
+    return tuple(out)
 
 
 def _word_tuple(pairing: tuple[int, ...]) -> tuple[int, ...]:
@@ -265,8 +300,13 @@ class TestParity:
 
 class TestEnumeration:
     def test_class_counts(self):
-        got = tuple(len(canonical_words(n)) for n in range(1, 7))
+        got = tuple(len(canonical_words(n)) for n in range(1, 8))
         assert got == CLASS_COUNTS
+
+    def test_matches_filtered_reference(self):
+        # same classes in the same order as filtering every pairing
+        for n in range(1, 7):
+            assert canonical_words(n) == filtered_canonical_words(n)
 
     def test_matches_orbit_oracle(self):
         for n in range(1, 6):
@@ -275,6 +315,20 @@ class TestEnumeration:
             assert len(stream) == len(keys)
             got = {tuple(_word_tuple(parse_word(w).pairing)) for w in stream}
             assert got == keys
+
+    def test_prefix_pruning_spares_the_exact_test(self, monkeypatch):
+        # 975 of the 10,395 six-chord words reach the exact test: 1,093
+        # without the reflection rule, all of them without either rule.
+        # A stronger sound rule may lower the figure.
+        checked = []
+        exact = diagrams._is_canonical_sequence
+        monkeypatch.setattr(
+            diagrams,
+            "_is_canonical_sequence",
+            lambda seq: checked.append(1) or exact(seq),
+        )
+        assert len(canonical_words(6)) == 554
+        assert len(checked) == 975
 
     def test_stream_sorted_distinct_canonical(self):
         for n in range(1, 7):
@@ -296,5 +350,7 @@ class TestEnumeration:
         )
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(Exception):
+        with pytest.raises(DiagramError):
             next(enumerate_diagrams(0))
+        with pytest.raises(DiagramError):
+            next(enumerate_diagrams(-1))
