@@ -8,7 +8,7 @@ the two-oracle agreement check.
 
 Exit codes: 0 success (and "realizable" for check), 1 unrealizable (check
 only), 2 malformed input (or an internal error, labelled as such on
-stderr), 3 verification found a counterexample.
+stderr), 3 verification found a counterexample or an oracle disagreement.
 """
 
 from __future__ import annotations
@@ -87,9 +87,9 @@ def analysis_record(d: GaussDiagram, raw: str) -> dict:
     arrays of those, so dumping the record is byte-for-byte reproducible.
     """
     inter = interlacement_graph(d)
-    realizable = is_realizable(d)
-    genus = 0 if realizable else min_genus(d)
     reports = realize_all(d)
+    realizable = bool(reports)  # a realizable diagram has 2^k >= 2 embeddings
+    genus = 0 if realizable else min_genus(d)
     gadget = gadget_planarity(d)
     curves: dict[str, tuple[int, ...]] = {}
     for report in reports:
@@ -299,39 +299,29 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.threads < 1:
         raise FlipError(f"--threads must be positive, got {args.threads}")
     theorem = verify_flip_theorem(max_n, workers=args.threads)
-    mismatches = theorem.oracle_mismatches
-    failed = bool(theorem.counterexamples or mismatches)
     if args.json:
-        _emit_json(
-            {
-                "flip_theorem": theorem.to_json_dict(),
-                "oracle_agreement": {
-                    "max_n": max_n,
-                    "diagrams_checked": theorem.diagrams_checked,
-                    "mismatches": list(mismatches),
-                },
-            }
-        )
-        return 3 if failed else 0
-    print(theorem.summary())
-    for c in theorem.counterexamples:
-        print(
-            f"  counterexample {c.word} site ({c.i}, {c.j}):"
-            f" {c.before} -> {c.after}"
-        )
-    if mismatches:
-        print(
-            f"oracle agreement up to {max_n} chords:"
-            f" {len(mismatches)} DISAGREEMENTS"
-        )
-        for w in mismatches:
-            print(f"  oracle mismatch on {w}")
+        _emit_json(theorem.to_json_dict())
     else:
-        print(
-            f"oracle agreement up to {max_n} chords:"
-            f" all {theorem.diagrams_checked} diagram classes agree"
-        )
-    return 3 if failed else 0
+        print(theorem.summary())
+        for c in theorem.counterexamples:
+            print(
+                f"  counterexample {c.word} site ({c.i}, {c.j}):"
+                f" {c.before} -> {c.after}"
+            )
+        mismatches = theorem.oracle_mismatches
+        if mismatches:
+            print(
+                f"oracle agreement up to {max_n} chords:"
+                f" {len(mismatches)} DISAGREEMENTS"
+            )
+            for w in mismatches:
+                print(f"  oracle mismatch on {w}")
+        else:
+            print(
+                f"oracle agreement up to {max_n} chords:"
+                f" all {theorem.diagrams_checked} diagram classes agree"
+            )
+    return 0 if theorem.ok() else 3
 
 
 def _build_parser() -> argparse.ArgumentParser:

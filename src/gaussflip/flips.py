@@ -161,13 +161,14 @@ class FlipTheoremReport:
     oracle_mismatches: tuple[str, ...] = ()  # classes where gadget != criterion
 
     def ok(self) -> bool:
-        return not self.counterexamples
+        """True when no flip changed realizability and the oracles agreed."""
+        return not (self.counterexamples or self.oracle_mismatches)
 
     def summary(self) -> str:
         verdict = (
-            "no counterexamples"
-            if self.ok()
-            else f"{len(self.counterexamples)} COUNTEREXAMPLES"
+            f"{len(self.counterexamples)} COUNTEREXAMPLES"
+            if self.counterexamples
+            else "no counterexamples"
         )
         return (
             f"flip theorem up to {self.max_n} chords: "
@@ -177,18 +178,25 @@ class FlipTheoremReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "max_n": self.max_n,
-            "diagrams_checked": self.diagrams_checked,
-            "sites_checked": self.sites_checked,
-            "counterexamples": [
-                {
-                    "word": c.word,
-                    "site": [c.i, c.j],
-                    "before": c.before,
-                    "after": c.after,
-                }
-                for c in self.counterexamples
-            ],
+            "flip_theorem": {
+                "max_n": self.max_n,
+                "diagrams_checked": self.diagrams_checked,
+                "sites_checked": self.sites_checked,
+                "counterexamples": [
+                    {
+                        "word": c.word,
+                        "site": [c.i, c.j],
+                        "before": c.before,
+                        "after": c.after,
+                    }
+                    for c in self.counterexamples
+                ],
+            },
+            "oracle_agreement": {
+                "max_n": self.max_n,
+                "diagrams_checked": self.diagrams_checked,
+                "mismatches": list(self.oracle_mismatches),
+            },
         }
 
 

@@ -142,14 +142,6 @@ class EmbeddingReport:
     def named_faces(self) -> tuple[tuple[str, ...], ...]:
         return tuple(tuple(self.dart_name(x) for x in face) for face in self.faces)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "rotation": [self.rotation >> i & 1 for i in range(self.diagram.n)],
-            "face_count": self.face_count,
-            "genus": self.genus,
-            "faces": [list(f) for f in self.named_faces()],
-        }
-
 
 def trace_faces(d: GaussDiagram, key: int) -> EmbeddingReport:
     """Trace every face orbit of the map of rotation system ``key`` on d.
@@ -330,23 +322,21 @@ def gadget_planarity(d: GaussDiagram) -> bool:
 
 
 def _encode_map(root: int, succ: list[int]) -> tuple[int, ...]:
-    """Breadth-first relabeling of darts from one root; map invariant."""
-    nd = len(succ)
-    ids = [-1] * nd
+    """Breadth-first relabeling of darts from one root; map invariant.
+
+    Each dart is numbered when first reached and its pair (successor,
+    reverse) emitted when it is dequeued, by which time both are numbered.
+    """
+    ids = [-1] * len(succ)
     order = [root]
     ids[root] = 0
-    i = 0
-    while i < len(order):
-        dart = order[i]
-        i += 1
+    code: list[int] = []
+    for dart in order:
         for nxt in (succ[dart], dart ^ 1):
             if ids[nxt] < 0:
                 ids[nxt] = len(order)
                 order.append(nxt)
-    code: list[int] = []
-    for dart in order:
-        code.append(ids[succ[dart]])
-        code.append(ids[dart ^ 1])
+            code.append(ids[nxt])
     return tuple(code)
 
 
@@ -363,14 +353,11 @@ def curve_code(report: EmbeddingReport) -> str:
         raise NotAPlaneCurveError(
             f"embedding has genus {report.genus}, not a plane curve"
         )
-    succ = _rotation_successors(report.diagram, report.rotation)
-    nd = len(succ)
-    inv = [0] * nd
-    for a, b in enumerate(succ):
-        inv[b] = a
+    d, key = report.diagram, report.rotation
+    mirror = key ^ ((1 << d.n) - 1)  # every crossing mirrored: the inverse
     best = min(
         _encode_map(root, sigma)
-        for sigma in (succ, inv)
-        for root in range(nd)
+        for sigma in (_rotation_successors(d, key), _rotation_successors(d, mirror))
+        for root in range(4 * d.n)
     )
     return "-".join(f"{best[i]}.{best[i + 1]}" for i in range(0, len(best), 2))

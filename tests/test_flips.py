@@ -188,11 +188,30 @@ class TestTheoremSweep:
         assert report.ok()
         assert "no counterexamples" in report.summary()
         assert report.to_json_dict() == {
-            "max_n": 2,
-            "diagrams_checked": 3,
-            "sites_checked": 4,
-            "counterexamples": [],
+            "flip_theorem": {
+                "max_n": 2,
+                "diagrams_checked": 3,
+                "sites_checked": 4,
+                "counterexamples": [],
+            },
+            "oracle_agreement": {
+                "max_n": 2,
+                "diagrams_checked": 3,
+                "mismatches": [],
+            },
         }
+
+    def test_oracle_mismatch_is_not_ok(self, monkeypatch):
+        # a gadget oracle that calls ABAB planar disagrees with the criterion
+        real = flips.gadget_planarity
+        monkeypatch.setattr(
+            flips, "gadget_planarity", lambda d: d.word() == "ABAB" or real(d)
+        )
+        report = verify_flip_theorem(3)
+        assert report.oracle_mismatches == ("ABAB",)
+        assert report.counterexamples == ()
+        assert not report.ok()
+        assert report.summary().endswith("no counterexamples")
 
     def test_five_chords(self):
         report = verify_flip_theorem(5)

@@ -8,6 +8,7 @@ from gaussflip.diagrams import canonical_words, parse_word
 from gaussflip.realize import (
     NotAPlaneCurveError,
     RealizeError,
+    _rotation_successors,
     curve_code,
     gadget_planarity,
     is_realizable,
@@ -22,11 +23,53 @@ SPAN3 = parse_word("AEBACBDCED")
 DIAMETERS = parse_word("ADBECADBEC")
 MIXED = parse_word("ACDECABDEB")
 
+
+def reference_curve_code(report) -> str:
+    """Reference code: number every dart, then emit; invert by hand; full minimum."""
+    succ = _rotation_successors(report.diagram, report.rotation)
+    nd = len(succ)
+    inv = [0] * nd
+    for a, b in enumerate(succ):
+        inv[b] = a
+
+    def encode(root, sigma):
+        ids = [-1] * nd
+        order = [root]
+        ids[root] = 0
+        i = 0
+        while i < len(order):
+            dart = order[i]
+            i += 1
+            for nxt in (sigma[dart], dart ^ 1):
+                if ids[nxt] < 0:
+                    ids[nxt] = len(order)
+                    order.append(nxt)
+        code = []
+        for dart in order:
+            code.append(ids[sigma[dart]])
+            code.append(ids[dart ^ 1])
+        return tuple(code)
+
+    best = min(encode(root, sigma) for sigma in (succ, inv) for root in range(nd))
+    return "-".join(f"{best[i]}.{best[i + 1]}" for i in range(0, len(best), 2))
+
+
 # classes found realizable among the 1, 2, 5, 17, 79, 554, 5283 for n = 1..7
 REALIZABLE_COUNTS = (1, 1, 3, 5, 15, 43, 172)
 
 
 class TestRotationSystems:
+    def test_complement_key_is_the_inverse(self):
+        # flipping every crossing's bit reverses each cyclic order
+        for n in range(1, 6):
+            full = (1 << n) - 1
+            for word in canonical_words(n):
+                d = parse_word(word)
+                for key in transverse_rotation_systems(d):
+                    succ = _rotation_successors(d, key)
+                    mirror = _rotation_successors(d, key ^ full)
+                    assert [mirror[b] for b in succ] == list(range(4 * n)), word
+
     def test_count_and_order(self):
         # keys ascend over every choice; bit i is chord i's transverse choice
         systems = list(transverse_rotation_systems(parse_word("ABCABC")))
@@ -96,16 +139,6 @@ class TestFaceTracing:
             report = trace_faces(d, rs)
             darts = [x for face in report.faces for x in face]
             assert sorted(darts) == list(range(4 * d.n))
-
-    def test_json_dict_shape(self):
-        report = trace_faces(parse_word("AA"), 0)
-        data = report.to_json_dict()
-        assert data["rotation"] == [0]
-        assert data["face_count"] == 3
-        assert data["genus"] == 0
-        assert data["faces"][0] == ["A@0+"]
-        # the key's bits in chord order
-        assert trace_faces(parse_word("ABCABC"), 6).to_json_dict()["rotation"] == [0, 1, 1]
 
 
 class TestVerdicts:
@@ -186,6 +219,15 @@ class TestCurveCodes:
                 for variant in (d.rotated(1), d.rotated(3), d.reflected()):
                     got = {curve_code(r) for r in realize_all(variant)}
                     assert got == codes, word
+
+    def test_matches_reference_up_to_six(self):
+        embeddings = 0
+        for n in range(1, 7):
+            for word in canonical_words(n):
+                for report in realize_all(parse_word(word)):
+                    embeddings += 1
+                    assert curve_code(report) == reference_curve_code(report), word
+        assert embeddings == 2 + 4 + 18 + 54 + 244 + 1082  # per chord count
 
     def test_code_text_is_single_token(self):
         report = realize_all(parse_word("AA"))[0]
