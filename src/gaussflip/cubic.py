@@ -231,11 +231,11 @@ def graph_from_diagram(d: GaussDiagram) -> tuple[CubicGraph, HamCycle]:
     return CubicGraph.from_edges(edges, m), HamCycle(tuple(range(m)))
 
 
-def _bfs_order(g: CubicGraph, start_rank: Sequence[int]) -> list[int]:
-    """Visit vertices so each (component root aside) follows a mapped one."""
+def _bfs_order(g: CubicGraph) -> list[int]:
+    """Breadth-first from vertex 0; roots and neighbors in ascending order."""
     order: list[int] = []
     seen = [False] * g.m
-    for root in sorted(range(g.m), key=lambda v: (start_rank[v], v)):
+    for root in range(g.m):
         if seen[root]:
             continue
         seen[root] = True
@@ -250,44 +250,21 @@ def _bfs_order(g: CubicGraph, start_rank: Sequence[int]) -> list[int]:
     return order
 
 
-def _refined_colors(g: CubicGraph) -> tuple[int, ...]:
-    """Iterated neighborhood refinement; stable partition of the vertices."""
-    sigs0 = [
-        tuple(sorted(g.multiplicity(v, w) for w in g.neighbor_sets[v]))
-        for v in range(g.m)
-    ]
-    # canonical small ints keep colors comparable across graphs
-    colors = _canon_ints(sigs0)
-    while True:
-        sigs = []
-        for v in range(g.m):
-            around = sorted(
-                (g.multiplicity(v, w), colors[w]) for w in g.neighbor_sets[v]
-            )
-            sigs.append((colors[v], tuple(around)))
-        new = _canon_ints(sigs)
-        if len(set(new)) == len(set(colors)):
-            return tuple(new)
-        colors = new
-
-
-def _canon_ints(values: Sequence) -> list[int]:
-    ranks = {v: i for i, v in enumerate(sorted(set(values)))}
-    return [ranks[v] for v in values]
-
-
 def are_isomorphic(
     g1: CubicGraph, g2: CubicGraph
 ) -> tuple[bool, dict[int, int] | None]:
-    """Decide isomorphism; on success return a verified vertex mapping."""
-    if g1.m != g2.m or len(g1.edges) != len(g2.edges):
+    """Decide isomorphism; on success return a verified vertex mapping.
+
+    One backtracking search places g1's vertices in breadth-first order.
+    A vertex with a placed neighbor u may map only to an unused neighbor of
+    u's image; a component root may map to any unused vertex.  Candidates
+    are tried in ascending order, and one is kept when the used neighbors
+    of its image are exactly the images of its placed neighbors, with equal
+    multiplicities.  The witness is the least isomorphism in that order.
+    """
+    if g1.m != g2.m:  # cubic, so the edge counts then agree too
         return False, None
-    c1 = _refined_colors(g1)
-    c2 = _refined_colors(g2)
-    if sorted(Counter(c1).items()) != sorted(Counter(c2).items()):
-        return False, None
-    class_size = Counter(c1)
-    order = _bfs_order(g1, [(class_size[c1[v]], c1[v]) for v in range(g1.m)])
+    order = _bfs_order(g1)
     mapping: dict[int, int] = {}
     used = [False] * g2.m
 
@@ -295,13 +272,16 @@ def are_isomorphic(
         if idx == g1.m:
             return True
         v = order[idx]
-        for w in range(g2.m):
-            if used[w] or c2[w] != c1[v]:
-                continue
-            if any(
-                g1.multiplicity(v, u) != g2.multiplicity(w, x)
-                for u, x in mapping.items()
-            ):
+        around = {
+            mapping[u]: g1.multiplicity(v, u)
+            for u in g1.neighbor_sets[v]
+            if u in mapping
+        }
+        candidates = g2.neighbor_sets[next(iter(around))] if around else range(g2.m)
+        for w in candidates:
+            if used[w] or around != {
+                x: g2.multiplicity(w, x) for x in g2.neighbor_sets[w] if used[x]
+            }:
                 continue
             mapping[v] = w
             used[w] = True

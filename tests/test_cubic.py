@@ -7,6 +7,7 @@ import random
 from itertools import permutations
 from pathlib import Path
 
+import networkx as nx
 import pytest
 
 from gaussflip.cubic import (
@@ -37,12 +38,30 @@ PETERSEN = CubicGraph.from_edges(
     + [(5, 7), (7, 9), (6, 9), (6, 8), (5, 8)]
     + [(0, 5), (1, 6), (2, 7), (3, 8), (4, 9)]
 )
-PRISM5 = CubicGraph.from_edges(
-    [(i, (i + 1) % 5) for i in range(5)]
-    + [(5 + i, 5 + (i + 1) % 5) for i in range(5)]
-    + [(i, i + 5) for i in range(5)]
-)
+
+
+def prism(k: int) -> CubicGraph:
+    """Two k-cycles joined by k rungs."""
+    return CubicGraph.from_edges(
+        [(i, (i + 1) % k) for i in range(k)]
+        + [(k + i, k + (i + 1) % k) for i in range(k)]
+        + [(i, i + k) for i in range(k)]
+    )
+
+
+PRISM5 = prism(5)
 TRIPLE_EDGE = CubicGraph(2, ((0, 1), (0, 1), (0, 1)))
+
+
+def relabelled(rng: random.Random, g: CubicGraph) -> CubicGraph:
+    perm = list(range(g.m))
+    rng.shuffle(perm)
+    return CubicGraph.from_edges([(perm[u], perm[v]) for u, v in g.edges], g.m)
+
+
+def carries_edges(g: CubicGraph, h: CubicGraph, witness: dict[int, int]) -> bool:
+    remapped = sorted(tuple(sorted((witness[u], witness[v]))) for u, v in g.edges)
+    return remapped == list(h.edges)
 
 
 def oracle_cycles(g: CubicGraph) -> int:
@@ -231,11 +250,7 @@ class TestIsomorphism:
         ok, witness = are_isomorphic(moebius_ladder(3), K33)
         assert ok
         assert witness is not None
-        remapped = sorted(
-            tuple(sorted((witness[u], witness[v])))
-            for u, v in moebius_ladder(3).edges
-        )
-        assert remapped == list(K33.edges)
+        assert carries_edges(moebius_ladder(3), K33, witness)
 
     def test_m5_not_petersen(self):
         ok, witness = are_isomorphic(moebius_ladder(5), PETERSEN)
@@ -257,25 +272,72 @@ class TestIsomorphism:
     def test_random_relabelings(self):
         rng = random.Random(7)
         pool = [moebius_ladder(5), PETERSEN, PRISM5, K4]
-        for n in (3, 4, 5, 6, 8):
+        for n in (3, 4, 5, 6):
             words = canonical_words(n)
             pool.append(graph_from_diagram(parse_word(rng.choice(words)))[0])
+        # an 8-chord word drawn directly: listing the 65,346 classes is slow
+        labels = list("ABCDEFGH") * 2
+        rng.shuffle(labels)
+        pool.append(graph_from_diagram(parse_word("".join(labels)))[0])
         for g in pool:
-            perm = list(range(g.m))
-            rng.shuffle(perm)
-            h = CubicGraph.from_edges(
-                [(perm[u], perm[v]) for u, v in g.edges], g.m
-            )
+            h = relabelled(rng, g)
             ok, witness = are_isomorphic(g, h)
             assert ok
             assert witness is not None
-            remapped = sorted(
-                tuple(sorted((witness[u], witness[v]))) for u, v in g.edges
-            )
-            assert remapped == list(h.edges)
+            assert carries_edges(g, h, witness)
 
     def test_different_sizes(self):
         assert are_isomorphic(K4, moebius_ladder(3)) == (False, None)
+
+
+class TestIsomorphismOracle:
+    """Verdicts against networkx: VF2 on multigraphs, or a known verdict.
+
+    Relabellings are isomorphic by construction and ladder-prism pairs
+    differ in bipartiteness, so there the witness or networkx's bipartite
+    test is the check; VF2 on them would cost several seconds.
+    """
+
+    @staticmethod
+    def agrees(g: CubicGraph, h: CubicGraph) -> bool:
+        ok, witness = are_isomorphic(g, h)
+        want = nx.is_isomorphic(nx.MultiGraph(g.edges), nx.MultiGraph(h.edges))
+        if not ok:
+            return witness is None and not want
+        return want and carries_edges(g, h, witness)
+
+    def test_same_size_pairs_up_to_four_chords(self):
+        for n in range(1, 5):
+            graphs = [
+                graph_from_diagram(parse_word(w))[0] for w in canonical_words(n)
+            ]
+            for g in graphs:
+                for h in graphs:
+                    assert self.agrees(g, h)
+
+    def test_relabellings_up_to_six_chords(self):
+        rng = random.Random(3)
+        for n in range(1, 7):
+            for word in canonical_words(n):
+                g = graph_from_diagram(parse_word(word))[0]
+                h = relabelled(rng, g)
+                ok, witness = are_isomorphic(g, h)
+                assert ok and carries_edges(g, h, witness), word
+
+    def test_ladder_against_prism(self):
+        for k in range(3, 25):
+            g, h = moebius_ladder(k), prism(k)
+            assert nx.is_bipartite(nx.MultiGraph(g.edges)) != nx.is_bipartite(
+                nx.MultiGraph(h.edges)
+            )
+            assert are_isomorphic(g, h) == (False, None), k
+
+    def test_disconnected(self):
+        two_k4 = CubicGraph.from_edges(
+            K4.edges + tuple((u + 4, v + 4) for u, v in K4.edges)
+        )
+        assert self.agrees(two_k4, relabelled(random.Random(1), two_k4))
+        assert self.agrees(two_k4, moebius_ladder(4))
 
 
 class TestCensus:
