@@ -14,7 +14,7 @@ vertices is a triple edge); self-loops are not.
 from __future__ import annotations
 
 from collections import Counter, deque
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -176,29 +176,65 @@ class HamCycle:
 
 
 def hamiltonian_cycles(g: CubicGraph) -> list[HamCycle]:
-    """All Hamiltonian cycles, each once, sorted by vertex sequence."""
+    """All Hamiltonian cycles, each once, sorted by vertex sequence.
+
+    One depth-first search grows a path from vertex 0 and keeps its state
+    on an explicit stack, so the depth is not bounded by Python recursion.
+    A path vertex other than its two ends (0 and the tail) is *inside*:
+    both of its cycle edges are fixed.  Every vertex still off the path
+    needs two cycle edges to distinct neighbors, and neither can be inside,
+    so it needs two distinct neighbors that are not inside; vertex 0 still
+    needs one for the closing edge.  ``free[x]`` counts x's distinct
+    neighbors that are not inside.  Any step on from the tail w puts w
+    inside and lowers ``free`` of w's neighbors only, so only they can
+    newly break the rule.  A step from w to x is dropped when ``free[0]``
+    falls below 1, or an off-path vertex other than x falls below 2, or
+    ``free[x]`` falls below 1 (x goes on with w inside, so it needs one
+    more edge).  So when one off-path neighbor of w is below 2, it is the
+    only step left, and when two are, none is.  A cycle through a dropped
+    step would need an edge to an inside vertex, so no cycle is lost.
+    """
     if g.m == 2:
         return [HamCycle((0, 1))] if g.multiplicity(0, 1) >= 2 else []
     nbrs = g.neighbor_sets
-    out: list[HamCycle] = []
+    free = [len(s) for s in nbrs]
+    on_path = [False] * g.m
+    on_path[0] = True
     path = [0]
-    used = [False] * g.m
-    used[0] = True
-
-    def extend(v: int) -> None:
-        if len(path) == g.m:
-            if 0 in nbrs[v] and path[1] < path[-1]:
-                out.append(HamCycle(tuple(path)))
-            return
-        for w in nbrs[v]:
-            if not used[w]:
-                used[w] = True
-                path.append(w)
-                extend(w)
-                path.pop()
-                used[w] = False
-
-    extend(0)
+    stack = [iter(nbrs[0])]  # the steps left to try from each path vertex
+    out: list[HamCycle] = []
+    while stack:
+        for w in stack[-1]:
+            break
+        else:  # no step left: the tail leaves the path
+            stack.pop()
+            v = path.pop()
+            on_path[v] = False
+            if stack:
+                for x in nbrs[v]:
+                    free[x] += 1
+            continue
+        if len(path) == g.m - 1:
+            if 0 in nbrs[w] and path[1] < w:
+                out.append(HamCycle((*path, w)))
+            continue
+        path.append(w)
+        on_path[w] = True
+        steps = []
+        low = None  # the one off-path neighbor that must come next
+        dead = False
+        for x in nbrs[w]:  # every step on from w puts w inside
+            free[x] -= 1
+            if not on_path[x]:
+                steps.append(x)
+                if free[x] < 2:
+                    dead = dead or low is not None or free[x] < 1
+                    low = x
+        if dead or free[0] < 1:
+            steps = []
+        elif low is not None:
+            steps = [low]
+        stack.append(iter(steps))
     out.sort(key=lambda h: h.vertices)
     return out
 
@@ -261,43 +297,54 @@ def are_isomorphic(
     are tried in ascending order, and one is kept when the used neighbors
     of its image are exactly the images of its placed neighbors, with equal
     multiplicities.  The witness is the least isomorphism in that order.
+    Each depth keeps its placed neighbors' images and the candidates it
+    has left on an explicit stack, so the depth is not bounded by Python
+    recursion.
     """
-    if g1.m != g2.m:  # cubic, so the edge counts then agree too
+    m = g1.m
+    if m != g2.m:  # cubic, so the edge counts then agree too
         return False, None
     order = _bfs_order(g1)
-    mapping: dict[int, int] = {}
-    used = [False] * g2.m
-
-    def backtrack(idx: int) -> bool:
-        if idx == g1.m:
-            return True
-        v = order[idx]
-        around = {
-            mapping[u]: g1.multiplicity(v, u)
-            for u in g1.neighbor_sets[v]
-            if u in mapping
-        }
-        candidates = g2.neighbor_sets[next(iter(around))] if around else range(g2.m)
-        for w in candidates:
-            if used[w] or around != {
+    image = [-1] * m  # g1 vertex -> g2 vertex, -1 while unplaced
+    used = [False] * m
+    # by depth: {image of a placed neighbor: multiplicity}, candidates left;
+    # entries are replaced on the way down, never mutated
+    arounds: list[dict[int, int]] = [{}] * m
+    pools: list[Iterator[int]] = [iter(range(m))] * m
+    depth = 0
+    while depth >= 0:
+        v = order[depth]
+        if image[v] >= 0:  # undo the candidate tried last
+            used[image[v]] = False
+        around = arounds[depth]
+        for w in pools[depth]:
+            if not used[w] and around == {
                 x: g2.multiplicity(w, x) for x in g2.neighbor_sets[w] if used[x]
             }:
-                continue
-            mapping[v] = w
-            used[w] = True
-            if backtrack(idx + 1):
-                return True
-            del mapping[v]
-            used[w] = False
-        return False
-
-    if not backtrack(0):
+                break
+        else:
+            image[v] = -1
+            depth -= 1
+            continue
+        image[v] = w
+        used[w] = True
+        depth += 1
+        if depth == m:
+            break
+        v = order[depth]
+        arounds[depth] = around = {
+            image[u]: g1.multiplicity(v, u)
+            for u in g1.neighbor_sets[v]
+            if image[u] >= 0
+        }
+        pools[depth] = iter(
+            g2.neighbor_sets[next(iter(around))] if around else range(m)
+        )
+    else:
         return False, None
-    remapped = sorted(
-        tuple(sorted((mapping[u], mapping[v]))) for u, v in g1.edges
-    )
+    remapped = sorted(tuple(sorted((image[u], image[v]))) for u, v in g1.edges)
     assert remapped == list(g2.edges), "witness must carry edges to edges"
-    return True, dict(sorted(mapping.items()))
+    return True, dict(enumerate(image))
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,12 @@ from gaussflip.cubic import (
     moebius_ladder,
     parse_edge_list,
 )
-from gaussflip.diagrams import canonical_form, canonical_words, parse_word
+from gaussflip.diagrams import (
+    canonical_form,
+    canonical_words,
+    from_chord_pairs,
+    parse_word,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -75,6 +80,84 @@ def oracle_cycles(g: CubicGraph) -> int:
         if all(seq[(i + 1) % g.m] in nbrs[seq[i]] for i in range(g.m)):
             count += 1
     return count
+
+
+def reference_hamiltonian_cycles(g: CubicGraph) -> list[HamCycle]:
+    """The unpruned search: extend every simple path from vertex 0."""
+    if g.m == 2:
+        return [HamCycle((0, 1))] if g.multiplicity(0, 1) >= 2 else []
+    nbrs = g.neighbor_sets
+    out: list[HamCycle] = []
+    path = [0]
+    used = [False] * g.m
+    used[0] = True
+
+    def extend(v: int) -> None:
+        if len(path) == g.m:
+            if 0 in nbrs[v] and path[1] < path[-1]:
+                out.append(HamCycle(tuple(path)))
+            return
+        for w in nbrs[v]:
+            if not used[w]:
+                used[w] = True
+                path.append(w)
+                extend(w)
+                path.pop()
+                used[w] = False
+
+    extend(0)
+    out.sort(key=lambda h: h.vertices)
+    return out
+
+
+def matching_cycles(g: CubicGraph) -> set[HamCycle]:
+    """Hamiltonian cycles as perfect matchings whose complement is one cycle.
+
+    Edges are handled by index, so each copy of a parallel edge is its own
+    choice; two matchings that differ only in the copy give the same cycle.
+    """
+    incident: list[list[int]] = [[] for _ in range(g.m)]
+    for i, (u, v) in enumerate(g.edges):
+        incident[u].append(i)
+        incident[v].append(i)
+    found: set[HamCycle] = set()
+    matched = [False] * g.m
+    matching: set[int] = set()
+
+    def trace() -> None:
+        seq, v, came = [0], 0, None
+        while True:
+            i = next(e for e in incident[v] if e not in matching and e != came)
+            u, w = g.edges[i]
+            v, came = (w if v == u else u), i
+            if v == 0:
+                break
+            seq.append(v)
+        if len(seq) == g.m:
+            found.add(HamCycle.from_sequence(seq))
+
+    def extend() -> None:
+        if all(matched):
+            trace()
+            return
+        u = matched.index(False)
+        for i in incident[u]:
+            w = sum(g.edges[i]) - u
+            if not matched[w]:
+                matched[u] = matched[w] = True
+                matching.add(i)
+                extend()
+                matching.discard(i)
+                matched[u] = matched[w] = False
+
+    extend()
+    return found
+
+
+def random_diagram_graph(rng: random.Random, n: int) -> CubicGraph:
+    labels = [chr(ord("A") + i) for i in range(n)] * 2
+    rng.shuffle(labels)
+    return graph_from_diagram(parse_word("".join(labels)))[0]
 
 
 def oracle_bipartite(g: CubicGraph) -> bool:
@@ -196,6 +279,46 @@ class TestHamiltonianCycles:
         assert cycles == hamiltonian_cycles(moebius_ladder(6))
 
 
+class TestHamiltonianOracles:
+    """The pruned search against the unpruned one and against matchings."""
+
+    def test_reference_search_up_to_six_chords(self):
+        rng = random.Random(11)
+        for n in range(1, 7):
+            for word in canonical_words(n):
+                g = graph_from_diagram(parse_word(word))[0]
+                for h in (g, relabelled(rng, g)):
+                    assert hamiltonian_cycles(h) == reference_hamiltonian_cycles(h), word
+
+    def test_matching_oracle_on_random_diagram_graphs(self):
+        rng = random.Random(5)
+        for n in range(12, 19):
+            g = relabelled(rng, random_diagram_graph(rng, n))
+            cycles = hamiltonian_cycles(g)
+            assert cycles == sorted(set(cycles), key=lambda h: h.vertices)
+            assert set(cycles) == matching_cycles(g), g.to_edge_list()
+
+    def test_matching_oracle_on_small_graphs(self):
+        for g in (K4, K33, PETERSEN, PRISM5, moebius_ladder(5), TRIPLE_EDGE):
+            assert set(hamiltonian_cycles(g)) == matching_cycles(g)
+
+
+class TestLargeGraphs:
+    """Searches deeper than Python's recursion limit still give verdicts."""
+
+    def test_isolated_chords_have_one_cycle(self):
+        d = from_chord_pairs([(2 * i, 2 * i + 1) for i in range(500)])
+        g, rim = graph_from_diagram(d)
+        assert g.m == 1000
+        assert hamiltonian_cycles(g) == [rim]
+
+    def test_moebius_600_is_isomorphic_to_itself(self):
+        g = moebius_ladder(600)
+        ok, witness = are_isomorphic(g, g)
+        assert ok
+        assert witness is not None and carries_edges(g, g, witness)
+
+
 class TestDiagramBridge:
     def test_rim_gives_diameters(self):
         m5 = moebius_ladder(5)
@@ -276,9 +399,7 @@ class TestIsomorphism:
             words = canonical_words(n)
             pool.append(graph_from_diagram(parse_word(rng.choice(words)))[0])
         # an 8-chord word drawn directly: listing the 65,346 classes is slow
-        labels = list("ABCDEFGH") * 2
-        rng.shuffle(labels)
-        pool.append(graph_from_diagram(parse_word("".join(labels)))[0])
+        pool.append(random_diagram_graph(rng, 8))
         for g in pool:
             h = relabelled(rng, g)
             ok, witness = are_isomorphic(g, h)

@@ -23,6 +23,18 @@ PRISM5 = "0 1,1 2,2 3,3 4,0 4,5 6,6 7,7 8,8 9,5 9,0 5,1 6,2 7,3 8,4 9"
 # isomorphisms, so this pins which one is the witness
 AABCBC = "0 1,0 1,0 5,1 2,2 3,2 4,3 4,3 5,4 5"
 AABCBC_RELABELLED = "0 1,0 3,0 5,1 2,1 5,2 4,2 4,3 4,3 5"
+# renumbered graphs of the random diagrams HCEKDJAGFBIGBJDLKAFEILHC (12
+# chords) and DEGDFHECGFBACBAH (8 chords): they pin the cycle order
+# of the Hamiltonian-cycle search on graphs without symmetry to lean on
+D12 = (
+    "0 4,0 13,0 23,1 10,1 21,1 23,2 7,2 15,2 17,3 7,3 16,3 17,4 15,4 20,"
+    "5 14,5 20,5 22,6 9,6 11,6 12,7 18,8 10,8 12,8 19,9 11,9 21,10 17,"
+    "11 12,13 19,13 22,14 18,14 19,15 16,16 23,18 20,21 22"
+)
+D8 = (
+    "0 9,0 12,0 14,1 2,1 14,1 15,2 7,2 8,3 9,3 10,3 11,4 6,4 7,4 9,5 6,"
+    "5 10,5 13,6 12,7 13,8 14,8 15,10 12,11 13,11 15"
+)
 
 CASES = [
     *((f"analyze_{w}.txt", ("analyze", w)) for w in WORDS),
@@ -37,6 +49,9 @@ CASES = [
     ("iso_m5_prism.txt", ("graph", "iso", "mobius:5", PRISM5)),
     ("hamcycles_m4.json", ("graph", "hamcycles", "mobius:4", "--json")),
     ("iso_AABCBC.json", ("graph", "iso", "--json", AABCBC, AABCBC_RELABELLED)),
+    ("hamcycles_m12.json", ("graph", "hamcycles", "--json", "mobius:12")),
+    ("hamcycles_d12.json", ("graph", "hamcycles", "--json", D12)),
+    ("census_d8.json", ("graph", "census", "--json", D8)),
 ]
 
 
