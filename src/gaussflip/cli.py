@@ -50,6 +50,8 @@ from .realize import (
 # orderly generation, down from 20-21 s when every pairing was built and
 # filtered.  Each chord more multiplies the class count by about 12.
 ENUMERATE_MAX = 8
+# `verify --max-chords 6` takes 0.6-0.7 s on a 2-core host; 7 chords take
+# 6.3 s with one worker and 3.9 s with two, most of it the gadget oracle.
 VERIFY_MAX = 6
 
 
@@ -162,6 +164,8 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_graph(args: argparse.Namespace) -> int:
+    if args.csv and args.action != "census":
+        raise GraphError(f"--csv is for graph census, not graph {args.action}")
     want = 2 if args.action == "iso" else 1
     if len(args.graphs) != want:
         raise GraphError(
@@ -333,8 +337,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="full report on one diagram")
     p.add_argument("diagram", help="word like ABAB, or pairs like 0-2,1-3")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--dot", action="store_true", help="interlacement graph as dot")
+    out = p.add_mutually_exclusive_group()
+    out.add_argument("--json", action="store_true")
+    out.add_argument("--dot", action="store_true", help="interlacement graph as dot")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("check", help="realizability verdict via exit code")
@@ -348,9 +353,10 @@ def _build_parser() -> argparse.ArgumentParser:
         nargs="+",
         help="edge-list file, '-', 'mobius:k', or inline '0 1,1 2,...'",
     )
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--csv", action="store_true", help="census only")
-    p.add_argument("--dot", action="store_true", help="echo the graph as dot")
+    out = p.add_mutually_exclusive_group()
+    out.add_argument("--json", action="store_true")
+    out.add_argument("--csv", action="store_true", help="census only")
+    out.add_argument("--dot", action="store_true", help="echo the graph as dot")
     p.set_defaults(func=cmd_graph)
 
     p = sub.add_parser("flips", help="flip sites or the whole flip orbit")

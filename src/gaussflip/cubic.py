@@ -97,8 +97,8 @@ class CubicGraph:
     def to_edge_list(self) -> str:
         return "".join(f"{u} {v}\n" for u, v in self.edges)
 
-    def to_dot(self, name: str = "cubic") -> str:
-        lines = [f"graph {name} {{"]
+    def to_dot(self) -> str:
+        lines = ["graph cubic {"]
         for u, v in self.edges:
             lines.append(f"  {u} -- {v};")
         lines.append("}")
@@ -365,15 +365,6 @@ class CensusReport:
     @property
     def total_cycles(self) -> int:
         return sum(e.cycles for e in self.entries)
-
-    def words(self) -> tuple[str, ...]:
-        return tuple(e.word for e in self.entries)
-
-    def realizable_words(self) -> tuple[str, ...]:
-        return tuple(e.word for e in self.entries if e.realizable)
-
-    def unrealizable_words(self) -> tuple[str, ...]:
-        return tuple(e.word for e in self.entries if not e.realizable)
 
     def to_json_dict(self) -> dict:
         return {

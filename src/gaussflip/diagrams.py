@@ -156,18 +156,6 @@ class GaussDiagram:
         """Render the diagram as a word, one label per slot."""
         return _join_tokens([self.labels[cid] for cid in self.chord_of])
 
-    def rotated(self, k: int) -> GaussDiagram:
-        """The diagram read starting from slot ``k``; labels carried over."""
-        m = 2 * self.n
-        names = [self.labels[self.chord_of[(s + k) % m]] for s in range(m)]
-        return GaussDiagram.from_tokens(names)
-
-    def reflected(self) -> GaussDiagram:
-        """The mirror image: slot s becomes slot 2n-1-s."""
-        m = 2 * self.n
-        names = [self.labels[self.chord_of[m - 1 - s]] for s in range(m)]
-        return GaussDiagram.from_tokens(names)
-
     def __str__(self) -> str:
         return self.word()
 
@@ -209,10 +197,7 @@ def from_chord_pairs(pairs: Iterable[Sequence[int]]) -> GaussDiagram:
             if pairing[s] != -1:
                 raise SlotPartitionError(f"slot {s} used by two chords")
         pairing[a], pairing[b] = b, a
-    # every slot covered follows from the counts, but check for clarity
-    missing = [s for s, t in enumerate(pairing) if t == -1]
-    if missing:
-        raise SlotPartitionError(f"slot {missing[0]} is not on any chord")
+    # n pairs of distinct, unused slots in 0..2n-1 cover every slot
     return GaussDiagram(len(plist), tuple(pairing))
 
 
@@ -307,8 +292,8 @@ class InterlacementGraph:
     edges: tuple[tuple[str, str], ...]
     degrees: tuple[int, ...]
 
-    def to_dot(self, name: str = "interlacement") -> str:
-        lines = [f"graph {name} {{"]
+    def to_dot(self) -> str:
+        lines = ["graph interlacement {"]
         for v in self.vertices:
             lines.append(f'  "{v}";')
         for a, b in self.edges:

@@ -76,7 +76,7 @@ def apply_flip(d: GaussDiagram, site: FlipSite) -> GaussDiagram:
     arc moves to the mirrored slot, and labels ride along with their
     chords.
     """
-    if (site.i, site.j) not in [(s.i, s.j) for s in flip_sites(d)]:
+    if site not in flip_sites(d):
         raise StaleSiteError(
             f"site (i={site.i}, j={site.j}) does not describe this diagram"
         )
@@ -93,12 +93,6 @@ class FlipOrbit:
 
     members: tuple[tuple[str, bool], ...]
     edges: tuple[tuple[str, tuple[int, int], str], ...]
-
-    def words(self) -> tuple[str, ...]:
-        return tuple(w for w, _ in self.members)
-
-    def verdicts(self) -> dict[str, bool]:
-        return dict(self.members)
 
     def homogeneous(self) -> bool:
         """True when every member shares one realizability verdict."""

@@ -119,12 +119,11 @@ def _face_count(succ: list[int]) -> int:
 
 @dataclass(frozen=True)
 class EmbeddingReport:
-    """A traced embedding: faces as dart cycles, plus count and genus."""
+    """A traced embedding: faces as dart cycles, plus genus."""
 
     diagram: GaussDiagram
     rotation: int  # the rotation system's key
     faces: tuple[tuple[int, ...], ...]
-    face_count: int
     genus: int
 
     def face_degrees(self) -> tuple[int, ...]:
@@ -168,7 +167,7 @@ def trace_faces(d: GaussDiagram, key: int) -> EmbeddingReport:
     f = len(faces)
     euler_defect = 2 + d.n - f
     assert euler_defect % 2 == 0 and euler_defect >= 0, "impossible face count"
-    return EmbeddingReport(d, key, tuple(faces), f, euler_defect // 2)
+    return EmbeddingReport(d, key, tuple(faces), euler_defect // 2)
 
 
 def _cut_colouring(d: GaussDiagram) -> tuple[int, list[int]] | None:
@@ -304,20 +303,12 @@ def gadget_planarity(d: GaussDiagram) -> bool:
     m = 2 * d.n
     corner_in = [2 * s for s in range(m)]
     corner_out = [2 * s + 1 for s in range(m)]
-    edges: set[tuple[int, int]] = set()
-
-    def add(a: int, b: int) -> None:
-        edges.add((a, b) if a < b else (b, a))
-
+    graph = nx.Graph()  # parallel edges merge into one
+    graph.add_nodes_from(range(2 * m))
     for u, v in d.chord_slots:
         square = (corner_in[u], corner_in[v], corner_out[u], corner_out[v])
-        for a, b in zip(square, square[1:] + square[:1]):
-            add(a, b)
-    for s in range(m):
-        add(corner_out[s], corner_in[(s + 1) % m])
-    graph = nx.Graph()
-    graph.add_nodes_from(range(2 * m))
-    graph.add_edges_from(edges)
+        graph.add_edges_from(zip(square, square[1:] + square[:1]))
+    graph.add_edges_from((corner_out[s], corner_in[(s + 1) % m]) for s in range(m))
     return bool(nx.check_planarity(graph)[0])
 
 

@@ -176,5 +176,5 @@ def test_08_structural_laws():
                 for system in transverse_rotation_systems(d):
                     report = trace_faces(d, system)
                     assert (
-                        n - 2 * n + report.face_count == 2 - 2 * report.genus
+                        n - 2 * n + len(report.faces) == 2 - 2 * report.genus
                     ), (word, system)

@@ -9,6 +9,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import gaussflip
 from gaussflip import cli, flips, realize
 from gaussflip.cli import main
@@ -392,6 +394,30 @@ class TestTopLevel:
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "argv, why",
+        [
+            (("analyze", "--json", "--dot", "ABAB"), "not allowed"),
+            (("graph", "census", "--json", "--csv", "mobius:5"), "not allowed"),
+            (("graph", "census", "--json", "--dot", "mobius:5"), "not allowed"),
+            (("graph", "census", "--csv", "--dot", "mobius:5"), "not allowed"),
+            (("graph", "hamcycles", "--csv", "mobius:3"), "error: --csv is for"),
+            (("graph", "iso", "--csv", "mobius:3", "mobius:3"), "error: --csv is for"),
+        ],
+        ids=[
+            "analyze-json-dot",
+            "graph-json-csv",
+            "graph-json-dot",
+            "graph-csv-dot",
+            "hamcycles-csv",
+            "iso-csv",
+        ],
+    )
+    def test_conflicting_output_flags(self, capsys, argv, why):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert why in err
 
     def test_help(self, capsys):
         assert main(["--help"]) == 0

@@ -180,17 +180,6 @@ class TestParsing:
 
 
 class TestSymmetries:
-    def test_rotated_word(self):
-        d = parse_word(WORD_DIAMETERS)
-        assert d.rotated(1).word() == "DBECADBECA"
-        assert d.rotated(0) == d
-        assert d.rotated(3).rotated(7) == d
-
-    def test_reflected_word(self):
-        d = parse_word("AABC BC".replace(" ", ""))
-        assert d.reflected().word() == "CBCBAA"
-        assert d.reflected().reflected() == d
-
     def test_canonical_examples(self):
         assert isinstance(canonical_form(parse_word("BAAB")), str)
         assert canonical_form(parse_word("BAAB")) == "AABB"
@@ -205,11 +194,11 @@ class TestSymmetries:
         # every symmetry of every class representative, n <= 5
         for n in range(1, 6):
             for word in canonical_words(n):
-                d = parse_word(word)
-                want = canonical_form(d)
+                want = canonical_form(parse_word(word))
                 for k in range(2 * n):
-                    assert canonical_form(d.rotated(k)) == want
-                    assert canonical_form(d.rotated(k).reflected()) == want
+                    rotated = word[k:] + word[:k]
+                    assert canonical_form(parse_word(rotated)) == want
+                    assert canonical_form(parse_word(rotated[::-1])) == want
 
     def test_canonical_random_words_land_in_stream(self):
         rng = random.Random(20260822)

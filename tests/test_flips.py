@@ -125,6 +125,9 @@ class TestApply:
             apply_flip(MIXED, site)
         with pytest.raises(StaleSiteError):
             apply_flip(DIAMETERS, FlipSite(0, 12, "A", "D"))
+        # right slots, wrong chords: the whole site must match
+        with pytest.raises(StaleSiteError):
+            apply_flip(parse_word("CDCD"), flip_sites(parse_word("ABAB"))[0])
 
     def test_every_unlisted_site_is_stale(self):
         for word in ("AABB", "ABAB", "ADBECADBEC"):
@@ -145,14 +148,14 @@ class TestOrbits:
             ("ABCDEABCDE", True),
         )
         assert orbit.homogeneous()
-        words = set(orbit.words())
+        words = {w for w, _ in orbit.members}
         for src, _, dst in orbit.edges:
             assert src in words and dst in words
         assert orbit.edges  # the two classes are actually linked
 
     def test_span3_orbit_stays_unrealizable(self):
         orbit = flip_orbit(SPAN3)
-        assert orbit.verdicts() == {"ABCADCEDBE": False}
+        assert orbit.members == (("ABCADCEDBE", False),)
         assert orbit.homogeneous()
 
     def test_singleton_orbit(self):

@@ -52,6 +52,9 @@ CASES = [
     ("hamcycles_m12.json", ("graph", "hamcycles", "--json", "mobius:12")),
     ("hamcycles_d12.json", ("graph", "hamcycles", "--json", D12)),
     ("census_d8.json", ("graph", "census", "--json", D8)),
+    ("analyze_ABAB.dot", ("analyze", "ABAB", "--dot")),
+    ("hamcycles_m3.dot", ("graph", "hamcycles", "mobius:3", "--dot")),
+    ("flips_ADBECADBEC.json", ("flips", "ADBECADBEC", "--json")),
 ]
 
 
