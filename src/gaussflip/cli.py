@@ -4,7 +4,9 @@ Subcommands map onto the library one to one: analyze and check read a
 diagram (word or pair syntax), graph works on cubic graphs (edge lists,
 ``mobius:k`` shorthand, or ``-`` for stdin), flips explores the flip move,
 enumerate lists diagram classes, and verify sweeps the flip theorem plus
-the two-oracle agreement check.
+the two-oracle agreement check.  Each command builds one JSON-ready record;
+``--json`` prints it, and the text (or census CSV) lines are rendered from it.
+``GRAPH_ACTIONS`` says which graph action takes ``--csv`` or ``--dot``.
 
 Exit codes: 0 success (and "realizable" for check), 1 unrealizable (check
 only), 2 malformed input (or an internal error, labelled as such on
@@ -16,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 from .cubic import (
@@ -55,8 +58,13 @@ ENUMERATE_MAX = 8
 VERIFY_MAX = 6
 
 
-def _emit_json(obj: dict) -> None:
-    print(json.dumps(obj, indent=2))
+def _verdict(realizable: bool) -> str:
+    return "realizable" if realizable else "unrealizable"
+
+
+def _emit(record: dict, lines: Iterable[str], as_json: bool) -> None:
+    """Print the record as indented JSON, or the text lines rendered from it."""
+    print(json.dumps(record, indent=2) if as_json else "\n".join(lines))
 
 
 def _load_graph(spec: str) -> CubicGraph:
@@ -123,104 +131,97 @@ def analysis_record(d: GaussDiagram, raw: str) -> dict:
     }
 
 
+def _analysis_lines(r: dict) -> Iterator[str]:
+    inter = r["interlacement"]
+    degs = " ".join(f"{a}:{d}" for a, d in zip(inter["labels"], inter["degrees"]))
+    agree = "" if r["oracles_agree"] else "  ORACLES DISAGREE"
+    gadget = f"(gadget agrees: {r['gadget_planar']}){agree}"
+    yield f"word        {r['word']}"
+    yield f"chords      {r['chords']}"
+    yield f"canonical   {r['canonical']}"
+    yield f"parity      {'pass' if r['parity'] else 'fail'}"
+    yield f"interlace   {degs}"
+    yield f"verdict     {_verdict(r['realizable'])} {gadget}"
+    yield f"min genus   {r['min_genus']}"
+    yield f"embeddings  {r['realizations']} of {2 ** r['chords']} systems are planar"
+    for curve in r["curves"]:
+        faces = ",".join(str(x) for x in curve["face_degrees"])
+        yield f"curve       faces[{faces}] code {curve['code']}"
+
+
+def _class_lines(classes: list[dict], footer: str) -> Iterator[str]:
+    """One "WORD  verdict" line per diagram class, then the footer."""
+    for c in classes:
+        yield f"{c['word']}  {_verdict(c['realizable'])}"
+    yield footer
+
+
 def cmd_analyze(args: argparse.Namespace) -> int:
     d = parse_diagram_input(args.diagram)
     if args.dot:
         print(interlacement_graph(d).to_dot(), end="")
         return 0
     record = analysis_record(d, args.diagram)
-    if args.json:
-        _emit_json(record)
-        return 0
-    print(f"word        {record['word']}")
-    print(f"chords      {record['chords']}")
-    print(f"canonical   {record['canonical']}")
-    print(f"parity      {'pass' if record['parity'] else 'fail'}")
-    degs = " ".join(
-        f"{lab}:{deg}"
-        for lab, deg in zip(
-            record["interlacement"]["labels"], record["interlacement"]["degrees"]
-        )
-    )
-    print(f"interlace   {degs}")
-    verdict = "realizable" if record["realizable"] else "unrealizable"
-    agree = "" if record["oracles_agree"] else "  ORACLES DISAGREE"
-    print(f"verdict     {verdict} (gadget agrees: {record['gadget_planar']}){agree}")
-    print(f"min genus   {record['min_genus']}")
-    print(f"embeddings  {record['realizations']} of {2 ** d.n} systems are planar")
-    for curve in record["curves"]:
-        faces = ",".join(str(x) for x in curve["face_degrees"])
-        print(f"curve       faces[{faces}] code {curve['code']}")
+    _emit(record, _analysis_lines(record), args.json)
     return 0
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    d = parse_diagram_input(args.diagram)
-    if is_realizable(d):
-        print("realizable")
-        return 0
-    print("unrealizable")
-    return 1
+    realizable = is_realizable(parse_diagram_input(args.diagram))
+    _emit({"realizable": realizable}, [_verdict(realizable)], False)
+    return 0 if realizable else 1
+
+
+# graph action -> (graphs it reads, output flags it takes besides --json)
+GRAPH_ACTIONS = {
+    "hamcycles": (1, ("dot",)),
+    "census": (1, ("csv", "dot")),
+    "iso": (2, ()),
+}
+
+
+def _graph_lines(action: str, r: dict, csv: bool) -> Iterator[str]:
+    if action == "hamcycles":
+        yield from (" ".join(str(v) for v in cycle) for cycle in r["cycles"])
+        yield f"# cycles={r['count']}"
+    elif action == "census" and csv:
+        yield "word,cycles,realizable"
+        for c in r["classes"]:
+            yield f"{c['word']},{c['cycles']},{str(c['realizable']).lower()}"
+    elif action == "census":
+        for c in r["classes"]:
+            yield f"{c['word']}  cycles={c['cycles']}  {_verdict(c['realizable'])}"
+        yield f"# cycles={r['total_cycles']} classes={len(r['classes'])}"
+    elif r["isomorphic"]:
+        yield "isomorphic"
+        yield " ".join(f"{a}->{b}" for a, b in r["mapping"].items())
+    else:
+        yield "not isomorphic"
 
 
 def cmd_graph(args: argparse.Namespace) -> int:
-    if args.csv and args.action != "census":
-        raise GraphError(f"--csv is for graph census, not graph {args.action}")
-    want = 2 if args.action == "iso" else 1
-    if len(args.graphs) != want:
-        raise GraphError(
-            f"graph {args.action} takes exactly {want} graph argument(s)"
-        )
-    g = _load_graph(args.graphs[0])
+    action = args.action
+    arity, flags = GRAPH_ACTIONS[action]
+    for flag in ("csv", "dot"):
+        if getattr(args, flag) and flag not in flags:
+            takers = " and ".join(a for a, f in GRAPH_ACTIONS.items() if flag in f[1])
+            raise GraphError(f"--{flag} is for graph {takers}, not graph {action}")
+    if len(args.graphs) != arity:
+        raise GraphError(f"graph {action} takes exactly {arity} graph argument(s)")
+    graphs = [_load_graph(spec) for spec in args.graphs]
     if args.dot:
-        print(g.to_dot(), end="")
+        print(graphs[0].to_dot(), end="")
         return 0
-    if args.action == "hamcycles":
-        cycles = hamiltonian_cycles(g)
-        if args.json:
-            _emit_json(
-                {
-                    "count": len(cycles),
-                    "cycles": [list(h.vertices) for h in cycles],
-                }
-            )
-        else:
-            for h in cycles:
-                print(h)
-            print(f"# cycles={len(cycles)}")
-        return 0
-    if args.action == "census":
-        report = ham_census(g)
-        if args.json:
-            _emit_json(report.to_json_dict())
-        elif args.csv:
-            print("word,cycles,realizable")
-            for e in report.entries:
-                print(f"{e.word},{e.cycles},{str(e.realizable).lower()}")
-        else:
-            for e in report.entries:
-                verdict = "realizable" if e.realizable else "unrealizable"
-                print(f"{e.word}  cycles={e.cycles}  {verdict}")
-            print(f"# cycles={report.total_cycles} classes={len(report.entries)}")
-        return 0
-    # iso
-    h = _load_graph(args.graphs[1])
-    ok, witness = are_isomorphic(g, h)
-    if args.json:
-        _emit_json(
-            {
-                "isomorphic": ok,
-                "mapping": None
-                if witness is None
-                else {str(k): v for k, v in witness.items()},
-            }
-        )
-    elif ok:
-        assert witness is not None
-        print("isomorphic")
-        print(" ".join(f"{a}->{b}" for a, b in witness.items()))
+    if action == "hamcycles":
+        cycles = hamiltonian_cycles(graphs[0])
+        record = {"count": len(cycles), "cycles": [list(h.vertices) for h in cycles]}
+    elif action == "census":
+        record = ham_census(graphs[0]).to_json_dict()
     else:
-        print("not isomorphic")
+        ok, witness = are_isomorphic(*graphs)
+        mapping = None if witness is None else {str(k): v for k, v in witness.items()}
+        record = {"isomorphic": ok, "mapping": mapping}
+    _emit(record, _graph_lines(action, record, args.csv), args.json)
     return 0
 
 
@@ -228,41 +229,21 @@ def cmd_flips(args: argparse.Namespace) -> int:
     d = parse_diagram_input(args.diagram)
     if args.orbit:
         orbit = flip_orbit(d)
-        if args.json:
-            _emit_json(orbit.to_json_dict())
-        else:
-            for word, realizable in orbit.members:
-                verdict = "realizable" if realizable else "unrealizable"
-                print(f"{word}  {verdict}")
-            print(
-                f"# members={len(orbit.members)} edges={len(orbit.edges)}"
-                f" homogeneous={str(orbit.homogeneous()).lower()}"
-            )
-        return 0
-    sites = flip_sites(d)
-    if args.json:
-        _emit_json(
-            {
-                "word": d.word(),
-                "sites": [
-                    {
-                        "i": s.i,
-                        "j": s.j,
-                        "p": s.chord_p,
-                        "q": s.chord_q,
-                        "result": apply_flip(d, s).word(),
-                    }
-                    for s in sites
-                ],
-            }
-        )
+        record = orbit.to_json_dict()
+        members, edges = len(record["members"]), len(record["edges"])
+        homogeneous = str(orbit.homogeneous()).lower()
+        footer = f"# members={members} edges={edges} homogeneous={homogeneous}"
+        lines = _class_lines(record["members"], footer)
     else:
-        for s in sites:
-            print(
-                f"i={s.i} j={s.j} P={s.chord_p} Q={s.chord_q}"
-                f" -> {apply_flip(d, s).word()}"
-            )
-        print(f"# sites={len(sites)}")
+        sites = [
+            {"i": s.i, "j": s.j, "p": s.chord_p, "q": s.chord_q,
+             "result": apply_flip(d, s).word()}
+            for s in flip_sites(d)
+        ]
+        record = {"word": d.word(), "sites": sites}
+        lines = ["i={i} j={j} P={p} Q={q} -> {result}".format(**s) for s in sites]
+        lines.append(f"# sites={len(sites)}")
+    _emit(record, lines, args.json)
     return 0
 
 
@@ -272,59 +253,41 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         raise DiagramError(
             f"chord count must be between 1 and {ENUMERATE_MAX}, got {n}"
         )
-    everything = [(d.word(), is_realizable(d)) for d in enumerate_diagrams(n)]
-    realizable_total = sum(ok for _, ok in everything)
-    rows = [r for r in everything if r[1]] if args.realizable_only else everything
-    if args.json:
-        _emit_json(
-            {
-                "chords": n,
-                "classes": [
-                    {"word": w, "realizable": ok} for w, ok in rows
-                ],
-            }
-        )
-        return 0
-    for word, ok in rows:
-        print(f"{word}  {'realizable' if ok else 'unrealizable'}")
-    print(
-        f"# classes={len(everything)} realizable={realizable_total}"
-        f" unrealizable={len(everything) - realizable_total}"
-    )
+    classes = [
+        dict(word=d.word(), realizable=is_realizable(d)) for d in enumerate_diagrams(n)
+    ]
+    total, realizable = len(classes), sum(c["realizable"] for c in classes)
+    unrealizable = total - realizable
+    footer = f"# classes={total} realizable={realizable} unrealizable={unrealizable}"
+    if args.realizable_only:
+        classes = [c for c in classes if c["realizable"]]
+    _emit({"chords": n, "classes": classes}, _class_lines(classes, footer), args.json)
     return 0
+
+
+def _verify_lines(r: dict, summary: str) -> Iterator[str]:
+    yield summary
+    for c in r["flip_theorem"]["counterexamples"]:
+        site = tuple(c["site"])
+        yield f"  counterexample {c['word']} site {site}: {c['before']} -> {c['after']}"
+    oracles = r["oracle_agreement"]
+    head = f"oracle agreement up to {oracles['max_n']} chords:"
+    if oracles["mismatches"]:
+        yield f"{head} {len(oracles['mismatches'])} DISAGREEMENTS"
+        yield from (f"  oracle mismatch on {w}" for w in oracles["mismatches"])
+    else:
+        yield f"{head} all {oracles['diagrams_checked']} diagram classes agree"
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     max_n = args.max_chords
     if not 2 <= max_n <= VERIFY_MAX:
-        raise FlipError(
-            f"--max-chords must be between 2 and {VERIFY_MAX}, got {max_n}"
-        )
+        raise FlipError(f"--max-chords must be between 2 and {VERIFY_MAX}, got {max_n}")
     if args.threads < 1:
         raise FlipError(f"--threads must be positive, got {args.threads}")
     theorem = verify_flip_theorem(max_n, workers=args.threads)
-    if args.json:
-        _emit_json(theorem.to_json_dict())
-    else:
-        print(theorem.summary())
-        for c in theorem.counterexamples:
-            print(
-                f"  counterexample {c.word} site ({c.i}, {c.j}):"
-                f" {c.before} -> {c.after}"
-            )
-        mismatches = theorem.oracle_mismatches
-        if mismatches:
-            print(
-                f"oracle agreement up to {max_n} chords:"
-                f" {len(mismatches)} DISAGREEMENTS"
-            )
-            for w in mismatches:
-                print(f"  oracle mismatch on {w}")
-        else:
-            print(
-                f"oracle agreement up to {max_n} chords:"
-                f" all {theorem.diagrams_checked} diagram classes agree"
-            )
+    record = theorem.to_json_dict()
+    _emit(record, _verify_lines(record, theorem.summary()), args.json)
     return 0 if theorem.ok() else 3
 
 
@@ -347,7 +310,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("graph", help="cubic graph queries")
-    p.add_argument("action", choices=("hamcycles", "census", "iso"))
+    p.add_argument("action", choices=tuple(GRAPH_ACTIONS))
     p.add_argument(
         "graphs",
         nargs="+",
@@ -356,7 +319,7 @@ def _build_parser() -> argparse.ArgumentParser:
     out = p.add_mutually_exclusive_group()
     out.add_argument("--json", action="store_true")
     out.add_argument("--csv", action="store_true", help="census only")
-    out.add_argument("--dot", action="store_true", help="echo the graph as dot")
+    out.add_argument("--dot", action="store_true", help="the graph as dot; not iso")
     p.set_defaults(func=cmd_graph)
 
     p = sub.add_parser("flips", help="flip sites or the whole flip orbit")

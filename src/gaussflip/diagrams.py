@@ -348,7 +348,6 @@ def enumerate_diagrams(n: int) -> Iterator[GaussDiagram]:
     """
     if n < 1:
         raise DiagramError("chord count must be at least 1")
-    names = _chord_names(n)
     m = 2 * n
     seq = [0]  # slot 0 always opens chord 0
     first = [0]  # slot of each chord's first end
@@ -390,7 +389,7 @@ def enumerate_diagrams(n: int) -> Iterator[GaussDiagram]:
         t = len(seq)
         if t == m:
             if _is_canonical_sequence(seq):
-                yield GaussDiagram.from_tokens([names[x] for x in seq])
+                yield GaussDiagram(n, tuple(partner))
             return
         new = len(first)
         can_open = new < n and m - t >= len(open_ids) + 2

@@ -56,6 +56,14 @@ def flip_sites(d: GaussDiagram) -> list[FlipSite]:
     Each doubly adjacent pair appears twice, once per in-between arc:
     as (i, j) and as (j, i).  Diagrams with fewer than two chords have no
     sites.
+
+    On the cubic graph a flip is the paper's 2-switch of the Hamiltonian
+    cycle.  Drop cycle edges (a, a+1) and (b, b+1); they share no end, as a
+    vertex has one chord edge.  Each freed end takes its chord edge, so the
+    chords at a, a+1, b, b+1 pair those four slots.  Pairing a with a+1
+    only re-lays the dropped edges, and a with b+1 closes a+1 .. b on
+    itself, so only P = (a, b), Q = (a+1, b+1) gives a new cycle: the
+    site (a, b).  It reads one in-between arc backwards: the flip.
     """
     m = 2 * d.n
     chord = d.chord_of

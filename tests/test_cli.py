@@ -404,6 +404,7 @@ class TestTopLevel:
             (("graph", "census", "--csv", "--dot", "mobius:5"), "not allowed"),
             (("graph", "hamcycles", "--csv", "mobius:3"), "error: --csv is for"),
             (("graph", "iso", "--csv", "mobius:3", "mobius:3"), "error: --csv is for"),
+            (("graph", "iso", "--dot", "mobius:3", "mobius:4"), "error: --dot is for"),
         ],
         ids=[
             "analyze-json-dot",
@@ -412,6 +413,7 @@ class TestTopLevel:
             "graph-csv-dot",
             "hamcycles-csv",
             "iso-csv",
+            "iso-dot",
         ],
     )
     def test_conflicting_output_flags(self, capsys, argv, why):

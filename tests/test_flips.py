@@ -2,12 +2,19 @@
 
 from __future__ import annotations
 
+import itertools
 import os
+from collections import Counter
 
 import pytest
 
 from gaussflip import flips
-from gaussflip.cubic import are_isomorphic, graph_from_diagram
+from gaussflip.cubic import (
+    are_isomorphic,
+    diagram_from_cycle,
+    graph_from_diagram,
+    hamiltonian_cycles,
+)
 from gaussflip.diagrams import canonical_form, canonical_words, parse_word
 from gaussflip.flips import (
     FlipError,
@@ -19,6 +26,7 @@ from gaussflip.flips import (
     flip_sites,
     verify_flip_theorem,
 )
+from gaussflip.realize import is_realizable
 
 SPAN3 = parse_word("AEBACBDCED")
 DIAMETERS = parse_word("ADBECADBEC")
@@ -175,6 +183,27 @@ class TestOrbits:
             "ABCDEABCDE",
         }
         assert all(set(e) == {"from", "site", "to"} for e in data["edges"])
+
+
+class TestTwoSwitches:
+    def test_two_switches_are_flips_up_to_six_chords(self):
+        # the flip_sites argument read on the graph: two Hamiltonian cycles
+        # of one graph that share all but two edges give classes one flip
+        # apart, with one verdict
+        pairs = 0
+        for n in range(2, 7):
+            for word in canonical_words(n):
+                g, _ = graph_from_diagram(parse_word(word))
+                cycles = [(h, Counter(h.edge_steps())) for h in hamiltonian_cycles(g)]
+                for (h, steps_h), (k, steps_k) in itertools.combinations(cycles, 2):
+                    if sum((steps_h - steps_k).values()) != 2:
+                        continue
+                    pairs += 1
+                    d, e = diagram_from_cycle(g, h), diagram_from_cycle(g, k)
+                    flipped = {canonical_form(apply_flip(d, s)) for s in flip_sites(d)}
+                    assert canonical_form(e) in flipped, (word, h, k)
+                    assert is_realizable(d) == is_realizable(e), (word, h, k)
+        assert pairs == 1065  # 3, 10, 22, 120 and 910 for n = 2..6
 
 
 class TestTheoremSweep:
