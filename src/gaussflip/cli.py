@@ -7,6 +7,8 @@ enumerate lists diagram classes, and verify sweeps the flip theorem plus
 the two-oracle agreement check.  Each command builds one JSON-ready record;
 ``--json`` prints it, and the text (or census CSV) lines are rendered from it.
 ``GRAPH_ACTIONS`` says which graph action takes ``--csv`` or ``--dot``.
+The parser is built once per process, at import; ``main`` looks up
+``cmd_<command>`` by name when called, so a handler patched later still runs.
 
 Exit codes: 0 success (and "realizable" for check), 1 unrealizable (check
 only), 2 malformed input (or an internal error, labelled as such on
@@ -103,6 +105,8 @@ def analysis_record(d: GaussDiagram, raw: str) -> dict:
     gadget = gadget_planarity(d)
     curves: dict[str, tuple[int, ...]] = {}
     for report in reports:
+        if report.rotation & 1:  # key ^ full is the mirror: same code and faces
+            continue
         curves.setdefault(curve_code(report), report.face_degrees())
     return {
         "input": raw,
@@ -303,11 +307,9 @@ def _build_parser() -> argparse.ArgumentParser:
     out = p.add_mutually_exclusive_group()
     out.add_argument("--json", action="store_true")
     out.add_argument("--dot", action="store_true", help="interlacement graph as dot")
-    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("check", help="realizability verdict via exit code")
     p.add_argument("diagram")
-    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("graph", help="cubic graph queries")
     p.add_argument("action", choices=tuple(GRAPH_ACTIONS))
@@ -320,38 +322,36 @@ def _build_parser() -> argparse.ArgumentParser:
     out.add_argument("--json", action="store_true")
     out.add_argument("--csv", action="store_true", help="census only")
     out.add_argument("--dot", action="store_true", help="the graph as dot; not iso")
-    p.set_defaults(func=cmd_graph)
 
     p = sub.add_parser("flips", help="flip sites or the whole flip orbit")
     p.add_argument("diagram")
     p.add_argument("--orbit", action="store_true")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_flips)
 
     p = sub.add_parser("enumerate", help="canonical diagram classes")
     p.add_argument("--chords", type=int, required=True)
     p.add_argument("--realizable-only", action="store_true")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("verify", help="flip theorem + oracle agreement sweep")
     p.add_argument("--max-chords", type=int, required=True)
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_verify)
 
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except (DiagramError, GraphError, FlipError, RealizeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

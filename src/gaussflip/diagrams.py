@@ -42,7 +42,7 @@ class SlotPartitionError(DiagramError):
 
 
 def _chord_names(n: int) -> tuple[str, ...]:
-    """Default display labels: A..Z, then A1, B1, ... for larger diagrams."""
+    """Default display labels: A..Z up to 26 chords, else A0..Z0, A1, B1, ..."""
     letters = string.ascii_uppercase
     if n <= 26:
         return tuple(letters[:n])

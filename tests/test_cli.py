@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import io
 import json
 import os
@@ -79,6 +80,25 @@ class TestAnalyze:
         record = cli.analysis_record(parse_word("ADBECADBEC"), "ADBECADBEC")
         assert counts == {"walks": 0, "systems": 0, "traces": 2}
         assert record["realizations"] == 2
+
+    def test_one_curve_code_per_mirror_pair(self, monkeypatch):
+        coded = []
+        real_code = cli.curve_code
+
+        def counted(report):
+            coded.append(report.rotation)
+            return real_code(report)
+
+        monkeypatch.setattr(cli, "curve_code", counted)
+        for word, embeddings, curves, codes in (
+            ("ADBECADBEC", 2, 1, 1),
+            ("AABBCC", 8, 2, 4),
+        ):
+            coded.clear()
+            record = cli.analysis_record(parse_word(word), word)
+            assert record["realizations"] == embeddings
+            assert len(record["curves"]) == curves
+            assert len(coded) == codes, word
 
     def test_pair_syntax(self, capsys):
         code, out, _ = run_cli(capsys, "analyze", "0-2,1-3")
@@ -425,6 +445,15 @@ class TestTopLevel:
         assert main(["--help"]) == 0
         out = capsys.readouterr().out
         assert "analyze" in out and "verify" in out
+
+    def test_parser_built_once_per_process(self, capsys, monkeypatch):
+        def no_new_parser(*args, **kwargs):
+            raise AssertionError("main built an argument parser")
+
+        monkeypatch.setattr(argparse, "ArgumentParser", no_new_parser)
+        assert main(["check", "ABAB"]) == 1
+        assert main(["--help"]) == 0
+        assert "analyze" in capsys.readouterr().out
 
     def test_internal_error_labelled(self, capsys, monkeypatch):
         def broken(args):

@@ -211,6 +211,13 @@ class TestSymmetries:
             d = from_chord_pairs(pairs)
             assert canonical_form(d) in members[n]
 
+    def test_labels_above_26_chords_carry_a_suffix(self):
+        tokens = [f"c{i}" for i in range(27)]
+        form = canonical_form(parse_word(" ".join(tokens * 2)))
+        names = form.split()
+        assert names[:2] == ["A0", "B0"] and names[26] == "A1"
+        assert canonical_form(parse_word(form)) == form
+
     def test_canonical_idempotent(self):
         for n in range(1, 6):
             for word in canonical_words(n):

@@ -225,9 +225,15 @@ class TestCurveCodes:
         embeddings = 0
         for n in range(1, 7):
             for word in canonical_words(n):
-                for report in realize_all(parse_word(word)):
+                reports = {r.rotation: r for r in realize_all(parse_word(word))}
+                for key, report in reports.items():
                     embeddings += 1
-                    assert curve_code(report) == reference_curve_code(report), word
+                    code = curve_code(report)
+                    assert code == reference_curve_code(report), word
+                    # every crossing flipped: the mirror curve, which analyze skips
+                    mirror = reports[key ^ ((1 << n) - 1)]
+                    assert code == curve_code(mirror), word
+                    assert report.face_degrees() == mirror.face_degrees(), word
         assert embeddings == 2 + 4 + 18 + 54 + 244 + 1082  # per chord count
 
     def test_code_text_is_single_token(self):
