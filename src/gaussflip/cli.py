@@ -13,6 +13,11 @@ The parser is built once per process, at import; ``main`` looks up
 Exit codes: 0 success (and "realizable" for check), 1 unrealizable (check
 only), 2 malformed input (or an internal error, labelled as such on
 stderr), 3 verification found a counterexample or an oracle disagreement.
+Input beyond a command's size limit also exits 2 with an ``error:`` line:
+``analyze`` refuses an unrealizable diagram of more than
+``ANALYZE_MAX_UNREALIZABLE`` chords and a realizable one of more than
+``ANALYZE_MAX_COMPONENTS`` interlacement components, whose 2^n or 2^k
+walks would run for seconds to hours; ``check`` decides either in O(n^2).
 """
 
 from __future__ import annotations
@@ -44,6 +49,7 @@ from .diagrams import (
 from .flips import FlipError, apply_flip, flip_orbit, flip_sites, verify_flip_theorem
 from .realize import (
     RealizeError,
+    _cut_colouring,
     curve_code,
     gadget_planarity,
     is_realizable,
@@ -58,6 +64,14 @@ ENUMERATE_MAX = 8
 # `verify --max-chords 6` takes 0.6-0.7 s on a 2-core host; 7 chords take
 # 6.3 s with one worker and 3.9 s with two, most of it the gadget oracle.
 VERIFY_MAX = 6
+# `analyze --json` finds the least genus of an unrealizable diagram by
+# tracing all 2^n rotation systems: ABACBC plus isolated chords takes
+# 2.6 s at 16 chords and 4.5 s at 17 on a 2-core host.
+ANALYZE_MAX_UNREALIZABLE = 16
+# A realizable diagram with k interlacement components has 2^k plane
+# embeddings to trace and code: k isolated chords take 3.2 s at k = 14
+# and 8.4 s at k = 15 on the same host.
+ANALYZE_MAX_COMPONENTS = 14
 
 
 def _verdict(realizable: bool) -> str:
@@ -97,10 +111,25 @@ def analysis_record(d: GaussDiagram, raw: str) -> dict:
 
     Key order is fixed and all values are strings, integers, booleans, or
     arrays of those, so dumping the record is byte-for-byte reproducible.
+    Input whose 2^n or 2^k walk would exceed the limits above is refused
+    with a ``RealizeError`` before the walk starts.
     """
     inter = interlacement_graph(d)
+    solved = _cut_colouring(d)  # None, or a colouring and the components
+    if solved is not None and len(solved[1]) > ANALYZE_MAX_COMPONENTS:
+        raise RealizeError(
+            f"analyze traces and codes all 2^k plane embeddings; {len(solved[1])}"
+            f" interlacement components exceed the limit of {ANALYZE_MAX_COMPONENTS}"
+            " (use 'gaussflip check' for the verdict alone)"
+        )
     reports = realize_all(d)
     realizable = bool(reports)  # a realizable diagram has 2^k >= 2 embeddings
+    if not realizable and d.n > ANALYZE_MAX_UNREALIZABLE:
+        raise RealizeError(
+            f"analyze traces all 2^n rotation systems of an unrealizable diagram;"
+            f" {d.n} chords exceed the limit of {ANALYZE_MAX_UNREALIZABLE}"
+            " (use 'gaussflip check' for the verdict alone)"
+        )
     genus = 0 if realizable else min_genus(d)
     gadget = gadget_planarity(d)
     curves: dict[str, tuple[int, ...]] = {}

@@ -312,23 +312,35 @@ def gadget_planarity(d: GaussDiagram) -> bool:
     return bool(nx.check_planarity(graph)[0])
 
 
-def _encode_map(root: int, succ: list[int]) -> tuple[int, ...]:
-    """Breadth-first relabeling of darts from one root; map invariant.
+def _encode_below(
+    root: int, succ: list[int], best: list[int] | None
+) -> list[int] | None:
+    """Breadth-first code of the map from one root; ``None`` unless below ``best``.
 
     Each dart is numbered when first reached and its pair (successor,
     reverse) emitted when it is dequeued, by which time both are numbered.
+    While the code ties with ``best``, each entry is compared as it is
+    emitted: the root is dropped at the first entry above ``best``, and
+    after the first entry below it the rest is emitted without comparing.
     """
     ids = [-1] * len(succ)
-    order = [root]
     ids[root] = 0
+    order = [root]
     code: list[int] = []
+    tied = best is not None
     for dart in order:
         for nxt in (succ[dart], dart ^ 1):
-            if ids[nxt] < 0:
-                ids[nxt] = len(order)
+            v = ids[nxt]
+            if v < 0:
+                v = ids[nxt] = len(order)
                 order.append(nxt)
-            code.append(ids[nxt])
-    return tuple(code)
+            if tied:
+                least = best[len(code)]
+                if v > least:
+                    return None
+                tied = v == least
+            code.append(v)
+    return None if tied else code
 
 
 def curve_code(report: EmbeddingReport) -> str:
@@ -339,6 +351,12 @@ def curve_code(report: EmbeddingReport) -> str:
     curve's basepoint, direction, and any reflection of the sphere: two
     embeddings get equal codes exactly when some sphere homeomorphism,
     orientation-reversing allowed, carries one drawn curve to the other.
+
+    Early exit.  Roots are encoded in turn against the least code so far,
+    and a root is dropped at the first entry where its code reads above
+    it.  Every code has the same length, 8n entries for 4n darts, so that
+    entry already decides the order: a dropped root could not have given
+    the minimum, which is still taken over every root.
     """
     if report.genus != 0:
         raise NotAPlaneCurveError(
@@ -346,9 +364,11 @@ def curve_code(report: EmbeddingReport) -> str:
         )
     d, key = report.diagram, report.rotation
     mirror = key ^ ((1 << d.n) - 1)  # every crossing mirrored: the inverse
-    best = min(
-        _encode_map(root, sigma)
-        for sigma in (_rotation_successors(d, key), _rotation_successors(d, mirror))
-        for root in range(4 * d.n)
-    )
+    best: list[int] | None = None
+    for sigma in (_rotation_successors(d, key), _rotation_successors(d, mirror)):
+        for root in range(4 * d.n):
+            code = _encode_below(root, sigma, best)
+            if code is not None:
+                best = code
+    assert best is not None
     return "-".join(f"{best[i]}.{best[i + 1]}" for i in range(0, len(best), 2))

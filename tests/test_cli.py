@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -129,6 +130,42 @@ class TestAnalyze:
         code, _, err = run_cli(capsys, "analyze", "ABC")
         assert code == 2
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "word, limit",
+        [
+            # unrealizable: the least genus would trace 2^40 rotation systems
+            (
+                "A B A C B C " + " ".join(f"X{i} X{i}" for i in range(37)),
+                "40 chords exceed the limit of 16",
+            ),
+            # realizable: 2^40 plane embeddings to trace and code
+            (
+                " ".join(f"X{i} X{i}" for i in range(40)),
+                "40 interlacement components exceed the limit of 14",
+            ),
+        ],
+        ids=["ABACBC-and-37-isolated", "40-isolated"],
+    )
+    def test_over_limit_refused_fast(self, capsys, word, limit):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "analyze", "--json", word)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
+        assert limit in err and "gaussflip check" in err
+
+    def test_limits_are_inclusive(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "ANALYZE_MAX_UNREALIZABLE", 5)
+        monkeypatch.setattr(cli, "ANALYZE_MAX_COMPONENTS", 2)
+        for word, code in (
+            ("AEBACBDCED", 0),  # unrealizable, 5 chords
+            ("AEBACBDCEDFF", 2),  # unrealizable, 6 chords
+            ("AABB", 0),  # realizable, 2 components
+            ("AABBCC", 2),  # realizable, 3 components
+            ("ABABCCDD", 0),  # 3 components, but unrealizable and 4 chords
+        ):
+            assert run_cli(capsys, "analyze", word)[0] == code, word
 
 
 class TestCheck:

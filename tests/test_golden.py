@@ -17,6 +17,10 @@ from gaussflip.cli import main
 GOLDEN = Path(__file__).parent / "golden"
 
 WORDS = ("ADBECADBEC", "ACDECABDEB", "AEBACBDCED", "AABBCC")
+# several interlacement components, so many embeddings draw the same curve
+# and curve codes from different roots agree on long prefixes: eight
+# isolated chords, and a five-chord star joined to four isolated chords
+SUMS = ("AABBCCDDEEFFGGHH", "ABCDEABCDEFFGGHHII")
 K33 = "0 3,0 4,0 5,1 3,1 4,1 5,2 3,2 4,2 5"
 PRISM5 = "0 1,1 2,2 3,3 4,0 4,5 6,6 7,7 8,8 9,5 9,0 5,1 6,2 7,3 8,4 9"
 # the graph of AABCBC and a relabelling: a multigraph with several
@@ -38,7 +42,7 @@ D8 = (
 
 CASES = [
     *((f"analyze_{w}.txt", ("analyze", w)) for w in WORDS),
-    *((f"analyze_{w}.json", ("analyze", "--json", w)) for w in WORDS),
+    *((f"analyze_{w}.json", ("analyze", "--json", w)) for w in WORDS + SUMS),
     ("verify_5.txt", ("verify", "--max-chords", "5")),
     ("verify_5.json", ("verify", "--max-chords", "5", "--json")),
     ("flips_orbit_ACDECABDEB.json", ("flips", "ACDECABDEB", "--orbit", "--json")),

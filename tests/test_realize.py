@@ -236,6 +236,21 @@ class TestCurveCodes:
                     assert report.face_degrees() == mirror.face_degrees(), word
         assert embeddings == 2 + 4 + 18 + 54 + 244 + 1082  # per chord count
 
+    @pytest.mark.parametrize(
+        "word, pairs",
+        [
+            ("AABBCCDDEEFFGGHH", 128),  # eight isolated chords
+            ("ABCDEABCDEFFGGHHII", 16),  # star(5) joined to four isolated chords
+            ("ABCABCDEFDEFGHIGHI", 4),  # three star(3) joined in a row
+        ],
+    )
+    def test_matches_reference_on_sums(self, word, pairs):
+        # many roots tie with the least code far into it; one code per mirror pair
+        reports = [r for r in realize_all(parse_word(word)) if not r.rotation & 1]
+        assert len(reports) == pairs
+        for report in reports:
+            assert curve_code(report) == reference_curve_code(report), report.rotation
+
     def test_code_text_is_single_token(self):
         report = realize_all(parse_word("AA"))[0]
         text = curve_code(report)
