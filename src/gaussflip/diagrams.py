@@ -107,15 +107,11 @@ class GaussDiagram:
 
     @cached_property
     def chord_slots(self) -> tuple[tuple[int, int], ...]:
-        """Per chord id, its two slots in increasing order."""
-        first: dict[int, int] = {}
-        out: list[tuple[int, int]] = [(-1, -1)] * self.n
-        for s, cid in enumerate(self.chord_of):
-            if cid in first:
-                out[cid] = (first[cid], s)
-            else:
-                first[cid] = s
-        return tuple(out)
+        """Per chord id, its two slots in increasing order.
+
+        Ids follow first occurrence, so first ends come in id order.
+        """
+        return tuple((s, t) for s, t in enumerate(self.pairing) if s < t)
 
     @cached_property
     def interlacement_masks(self) -> tuple[int, ...]:
@@ -226,58 +222,65 @@ def parse_diagram_input(text: str) -> GaussDiagram:
     return parse_word(text)
 
 
-def _canonical_tuple(chord_of: Sequence[int]) -> tuple[int, ...]:
-    """Lex-least first-occurrence relabeling over all rotations/reflections."""
-    m = len(chord_of)
-    best: tuple[int, ...] | None = None
-    for start in range(m):
-        for step in (1, -1):
-            relabel: dict[int, int] = {}
-            seq: list[int] = []
-            verdict = 0  # against current best: -1 smaller, 0 tied, 1 larger
-            for t in range(m):
-                x = chord_of[(start + step * t) % m]
-                v = relabel.setdefault(x, len(relabel))
-                if best is not None and verdict == 0:
-                    if v > best[t]:
-                        verdict = 1
-                        break
-                    if v < best[t]:
-                        verdict = -1
-                seq.append(v)
-            if best is None or verdict == -1:
-                best = tuple(seq)
-    assert best is not None
-    return best
+def _difference(
+    seq: Sequence[int],
+    partner: Sequence[int],
+    opened: Sequence[int],
+    start: int,
+    step: int,
+    lo: int,
+    hi: int,
+) -> int:
+    """Sign of the first difference between a symmetric read and ``seq``.
 
-
-def _is_canonical_sequence(seq: Sequence[int]) -> bool:
-    """True when no rotation/reflection relabels strictly below ``seq``."""
-    m = len(seq)
-    for start in range(m):
-        for step in (1, -1):
-            if start == 0 and step == 1:
-                continue
-            relabel: dict[int, int] = {}
-            for t in range(m):
-                v = relabel.setdefault(seq[(start + step * t) % m], len(relabel))
-                if v > seq[t]:
-                    break
-                if v < seq[t]:
-                    return False
-    return True
+    The read visits slot ``(start + step * i) % m`` at index ``i`` and
+    labels chords by first occurrence along the way; it is compared with
+    ``seq`` over indices ``lo..hi-1``, given that the two tie before ``lo``.
+    While they tie, the read's labels are ``seq``'s, so the label at index
+    ``i`` is ``seq[j]`` when the other end of the slot was read earlier, at
+    index ``j < i``, and otherwise the next new label, ``opened[i]`` (the
+    number of labels in ``seq[:i]``).  A ``partner`` of -1 (other end not
+    placed yet) stands for slot 2n - 1, which is placed last, so that slot
+    reads as new.  Returns -1, 0 or 1: the read is smaller, tied over the
+    range, or larger.
+    """
+    m = len(partner)
+    for i in range(lo, hi):
+        j = (partner[(start + step * i) % m] - start) * step % m
+        v = seq[j] if j < i else opened[i]
+        if v != seq[i]:
+            return -1 if v < seq[i] else 1
+    return 0
 
 
 def canonical_form(d: GaussDiagram) -> str:
     """The lexicographically least word over all 4n symmetries of ``d``.
 
     Reading the circle from every start slot, in both directions, and
-    relabeling by first occurrence gives 4n candidate words; the smallest
-    is a class invariant: two diagrams get the same word exactly when one
-    is a rotation and/or reflection of the other.
+    labelling chords by first occurrence gives 4n candidate words; the
+    smallest is a class invariant: two diagrams get the same word exactly
+    when one is a rotation and/or reflection of the other.
+
+    Each read is compared with the least so far straight from ``d.pairing``
+    by ``_difference``, and is spelt out only when it reads smaller, by the
+    same rule: a slot whose other end was read earlier repeats that label,
+    and any other slot opens the next one.
     """
+    p = d.pairing
+    m = len(p)
+    best: list[int] = []
+    opened = [0]
+    for start in range(m):
+        for step in (1, -1):
+            if best and _difference(best, p, opened, start, step, 0, m) >= 0:
+                continue
+            best, opened = [], [0]
+            for i in range(m):
+                j = (p[(start + step * i) % m] - start) * step % m
+                best.append(best[j] if j < i else opened[i])
+                opened.append(opened[i] + (j > i))
     names = _chord_names(d.n)
-    return _join_tokens([names[x] for x in _canonical_tuple(d.chord_of)])
+    return _join_tokens([names[x] for x in best])
 
 
 @dataclass(frozen=True)
@@ -330,21 +333,24 @@ def enumerate_diagrams(n: int) -> Iterator[GaussDiagram]:
 
     Orderly generation (McKay, "Isomorph-free exhaustive generation",
     J. Algorithms 26, 1998): first-occurrence-labeled words are grown slot
-    by slot in lexicographic order, and a prefix is dropped as soon as some
-    rotation or reflection whose read lies wholly inside it relabels to
-    something strictly smaller.  Such a read is the start of that
-    symmetry's full read whatever fills the remaining slots, so every word
-    below a dropped prefix has a strictly smaller symmetric image and is not
-    canonical.  Pruning therefore removes only words the exact test would
-    reject; complete words still pass ``_is_canonical_sequence``, and each
-    yielded diagram satisfies ``d.word() == canonical_form(d)``.
+    by slot in lexicographic order, and each of the 4n - 1 other symmetric
+    reads of the word is compared with it by ``_difference`` as far as the
+    placed slots allow.  A read that reads smaller inside the prefix does
+    so whatever fills the remaining slots, so every word below that prefix
+    has a strictly smaller image and the prefix is dropped.  A read that
+    reads larger is closed: its first difference is already placed, so it
+    reads larger whatever follows, and it needs no check at the leaf.  Only
+    the reads still tied stay open, and a complete word is yielded when
+    none of them, finished at the leaf, reads smaller; so each yielded
+    diagram satisfies ``d.word() == canonical_form(d)``.
 
-    * Rotations: every start still tied with the prefix is a live candidate.
-      While tied, its read equals the prefix, so its relabeling is read off
-      the prefix itself.  Each new slot advances every candidate by one
-      symbol; a candidate that reads larger drops out for good.
+    * Rotations: ``live`` holds the starts still tied with the prefix.
+      Each new slot advances every one of them by one index, and the
+      rotation starting at the new slot joins, tied at its index 0.
     * Reflections: the one starting at the new slot reads back to slot 0,
-      so it is complete when that slot is placed and is checked then.
+      so it is read whole, inside the prefix, when that slot is placed.
+      Those that tie wait in ``mirrors`` for the slots past the prefix;
+      the reflection from slot 0 is among them from the start.
     """
     if n < 1:
         raise DiagramError("chord count must be at least 1")
@@ -356,39 +362,17 @@ def enumerate_diagrams(n: int) -> Iterator[GaussDiagram]:
     # of any read that has tied the prefix for k symbols
     opened = [0, 1]
 
-    def rotations_tied(live: tuple[int, ...], t: int) -> tuple[int, ...] | None:
-        """Live starts after slot t is placed; ``None`` if one reads smaller."""
-        q = partner[t]
-        tied = []
-        for s in live:
-            k = t - s
-            # a chord whose first end this read has passed (at index q - s)
-            # repeats that index's label; any other symbol is new to it
-            v = seq[q - s] if q >= s else opened[k]
-            if v < seq[k]:
-                return None
-            if v == seq[k]:
-                tied.append(s)
-        tied.append(t)  # the read from t: one new symbol, 0, ties slot 0
-        return tuple(tied)
-
-    def reflection_smaller(t: int) -> bool:
-        """The read from slot t down to slot 0 relabels below the prefix."""
-        for i in range(t + 1):
-            r = t - i
-            q = partner[r]
-            # reading downwards, the end at q > r was read first, at t - q
-            v = seq[t - q] if q > r else opened[i]
-            if v != seq[i]:
-                return v < seq[i]
-        return False
-
     def extend(
-        live: tuple[int, ...], open_ids: tuple[int, ...]
+        live: list[int], mirrors: tuple[int, ...], open_ids: tuple[int, ...]
     ) -> Iterator[GaussDiagram]:
         t = len(seq)
         if t == m:
-            if _is_canonical_sequence(seq):
+            if all(
+                _difference(seq, partner, opened, s, 1, m - s, m) >= 0 for s in live
+            ) and all(
+                _difference(seq, partner, opened, r, -1, r + 1, m) >= 0
+                for r in mirrors
+            ):
                 yield GaussDiagram(n, tuple(partner))
             return
         new = len(first)
@@ -404,9 +388,20 @@ def enumerate_diagrams(n: int) -> Iterator[GaussDiagram]:
                 partner[t], partner[first[x]] = first[x], t
                 opened.append(new)
                 rest = tuple(y for y in open_ids if y != x)
-            tied = rotations_tied(live, t)
-            if tied is not None and not reflection_smaller(t):
-                yield from extend(tied, rest)
+            tied = []
+            for s in live:
+                sign = _difference(seq, partner, opened, s, 1, t - s, t - s + 1)
+                if sign < 0:
+                    break
+                if sign == 0:
+                    tied.append(s)
+            else:
+                sign = _difference(seq, partner, opened, t, -1, 0, t + 1)
+                if sign >= 0:
+                    tied.append(t)
+                    yield from extend(
+                        tied, mirrors + (t,) if sign == 0 else mirrors, rest
+                    )
             seq.pop()
             opened.pop()
             if x == new:
@@ -414,7 +409,7 @@ def enumerate_diagrams(n: int) -> Iterator[GaussDiagram]:
             else:
                 partner[t] = partner[first[x]] = -1
 
-    yield from extend((), (0,))
+    yield from extend([], (0,), (0,))
 
 
 def canonical_words(n: int) -> tuple[str, ...]:

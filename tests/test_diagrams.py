@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 
 import pytest
 
@@ -23,7 +24,7 @@ from gaussflip.diagrams import (
     parse_diagram_input,
     parse_word,
 )
-from gaussflip.diagrams import _chord_names, _is_canonical_sequence
+from gaussflip.diagrams import _chord_names
 
 # Five-chord companions used across the suite: all three live on the same
 # cubic graph (see test_cubic) but only the last two bound plane curves.
@@ -60,9 +61,30 @@ def brute_pairings(m: int) -> list[tuple[int, ...]]:
     return out
 
 
+def is_canonical_sequence(seq: Sequence[int]) -> bool:
+    """True when no rotation/reflection relabels strictly below ``seq``.
+
+    Each of the 4n - 1 other reads is relabelled by a dict, apart from the
+    read rule the package uses.
+    """
+    m = len(seq)
+    for start in range(m):
+        for step in (1, -1):
+            if start == 0 and step == 1:
+                continue
+            relabel: dict[int, int] = {}
+            for t in range(m):
+                v = relabel.setdefault(seq[(start + step * t) % m], len(relabel))
+                if v > seq[t]:
+                    break
+                if v < seq[t]:
+                    return False
+    return True
+
+
 def filtered_canonical_words(n: int) -> tuple[str, ...]:
     """Reference stream: every first-occurrence-labeled word, lex ascending,
-    kept when ``_is_canonical_sequence`` accepts it.
+    kept when ``is_canonical_sequence`` accepts it.
 
     This is how ``enumerate_diagrams`` worked before it pruned prefixes:
     all (2n-1)!! words are built and filtered.
@@ -75,7 +97,7 @@ def filtered_canonical_words(n: int) -> tuple[str, ...]:
     def rec(opened: int, open_ids: tuple[int, ...]) -> None:
         t = len(seq)
         if t == m:
-            if _is_canonical_sequence(seq):
+            if is_canonical_sequence(seq):
                 out.append("".join(names[x] for x in seq))
             return
         for cid in open_ids:
@@ -112,6 +134,19 @@ def orbit_key(pairing: tuple[int, ...]) -> tuple[int, ...]:
         refl = tuple(m - 1 - rot[m - 1 - s] for s in range(m))
         variants.append(refl)
     return min(_word_tuple(v) for v in variants)
+
+
+def orbit_word(pairing: tuple[int, ...]) -> str:
+    """``orbit_key`` spelt with the default chord names."""
+    n = len(pairing) // 2
+    names = _chord_names(n)
+    return ("" if n <= 26 else " ").join(names[x] for x in orbit_key(pairing))
+
+
+def random_diagram(rng: random.Random, n: int) -> GaussDiagram:
+    slots = list(range(2 * n))
+    rng.shuffle(slots)
+    return from_chord_pairs([(slots[2 * i], slots[2 * i + 1]) for i in range(n)])
 
 
 def oracle_interlaced(p1: tuple[int, int], p2: tuple[int, int]) -> bool:
@@ -174,6 +209,16 @@ class TestParsing:
         assert parse_diagram_input("ABAB") == parse_word("ABAB")
         assert parse_diagram_input("0-2,1-3") == parse_word("ABAB")
 
+    def test_chord_slots_follow_chord_ids(self):
+        rng = random.Random(20261018)
+        for _ in range(300):
+            d = random_diagram(rng, rng.randint(1, 14))
+            want = [
+                tuple(s for s, c in enumerate(d.chord_of) if c == cid)
+                for cid in range(d.n)
+            ]
+            assert list(d.chord_slots) == want
+
     def test_labels_do_not_affect_equality(self):
         assert parse_word("ABAB") == parse_word("XYXY")
         assert hash(parse_word("ABAB")) == hash(parse_word("XYXY"))
@@ -205,11 +250,19 @@ class TestSymmetries:
         members = {n: set(canonical_words(n)) for n in range(1, 7)}
         for _ in range(1200):
             n = rng.randint(1, 6)
-            slots = list(range(2 * n))
-            rng.shuffle(slots)
-            pairs = [(slots[2 * i], slots[2 * i + 1]) for i in range(n)]
-            d = from_chord_pairs(pairs)
+            d = random_diagram(rng, n)
             assert canonical_form(d) in members[n]
+
+    def test_canonical_form_matches_orbit_oracle(self):
+        cases = [
+            GaussDiagram(n, p) for n in range(1, 6) for p in brute_pairings(2 * n)
+        ]
+        rng = random.Random(20261018)
+        cases += [random_diagram(rng, rng.randint(6, 14)) for _ in range(300)]
+        tokens = [f"c{i}" for i in range(27)]
+        cases.append(parse_word(" ".join(tokens * 2)))
+        for d in cases:
+            assert canonical_form(d) == orbit_word(d.pairing)
 
     def test_labels_above_26_chords_carry_a_suffix(self):
         tokens = [f"c{i}" for i in range(27)]
@@ -313,18 +366,25 @@ class TestEnumeration:
             assert got == keys
 
     def test_prefix_pruning_spares_the_exact_test(self, monkeypatch):
-        # 975 of the 10,395 six-chord words reach the exact test: 1,093
-        # without the reflection rule, all of them without either rule.
-        # A stronger sound rule may lower the figure.
-        checked = []
-        exact = diagrams._is_canonical_sequence
-        monkeypatch.setattr(
-            diagrams,
-            "_is_canonical_sequence",
-            lambda seq: checked.append(1) or exact(seq),
-        )
+        # 975 of the 10,395 six-chord words are complete when the prefix
+        # checks let them through, and the leaf finishes 4,053 reads over
+        # them: only those still tied, about 4 of each word's 23 other
+        # reads.  A prefix check ends its read before the last slot; a leaf
+        # read starts past index 0 and runs to it.
+        leaves: set[tuple[int, ...]] = set()
+        reads = []
+        difference = diagrams._difference
+
+        def counted(seq, partner, opened, start, step, lo, hi):
+            if lo > 0 and hi == len(partner):
+                leaves.add(tuple(seq))
+                reads.append((start, step))
+            return difference(seq, partner, opened, start, step, lo, hi)
+
+        monkeypatch.setattr(diagrams, "_difference", counted)
         assert len(canonical_words(6)) == 554
-        assert len(checked) == 975
+        assert len(leaves) == 975
+        assert len(reads) == 4053
 
     def test_stream_sorted_distinct_canonical(self):
         for n in range(1, 7):
