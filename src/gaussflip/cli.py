@@ -61,9 +61,9 @@ from .realize import (
 # orderly generation, against 20-21 s when every pairing was built and
 # filtered.  Each chord more multiplies the class count by about 12.
 ENUMERATE_MAX = 8
-# `verify --max-chords 6` takes 0.6-0.7 s on a 2-core host; 7 chords take
-# 6.3 s with one worker and 3.9 s with two, most of it the gadget oracle.
-VERIFY_MAX = 6
+# `verify --max-chords 8 --threads 2` takes about 15 s on a 2-core host
+# (71,287 classes); 9 chords have about 14 times as many.
+VERIFY_MAX = 8
 # `analyze --json` finds the least genus of an unrealizable diagram by
 # tracing all 2^n rotation systems: ABACBC plus isolated chords takes
 # 2.6 s at 16 chords and 4.5 s at 17 on a 2-core host.

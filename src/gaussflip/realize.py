@@ -51,6 +51,10 @@ successor of the reversed dart.
 A third, independent route to the verdict replaces every crossing by a
 small square gadget whose corner order forces transversality; the
 diagram is realizable exactly when the resulting ordinary graph is planar.
+Its planarity is decided by the left-right test of ``planarity``, which
+stays independent of Rosenstiehl's criterion: it sees only an ordinary
+graph, never chords or interlacement, shares no code with
+``_cut_colouring``, and is itself checked against networkx in the tests.
 """
 
 from __future__ import annotations
@@ -59,9 +63,8 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
-import networkx as nx
-
 from .diagrams import GaussDiagram, parse_word
+from .planarity import is_planar
 
 
 class RealizeError(ValueError):
@@ -299,17 +302,24 @@ def gadget_planarity(d: GaussDiagram) -> bool:
 
     Collapsing every square turns the joining edges into a plane curve
     that crosses itself transversally, in the diagram's order.
+
+    The graph, with in(s) = 2s and out(s) = 2s + 1, goes to the
+    left-right test ``planarity.is_planar``.  That test sees only an
+    ordinary graph, shares no code with ``_cut_colouring``, and is checked
+    against networkx's ``check_planarity`` in the tests, so this verdict
+    stays independent of Rosenstiehl's criterion.
     """
     m = 2 * d.n
-    corner_in = [2 * s for s in range(m)]
-    corner_out = [2 * s + 1 for s in range(m)]
-    graph = nx.Graph()  # parallel edges merge into one
-    graph.add_nodes_from(range(2 * m))
+    edges = [(2 * s + 1, 2 * ((s + 1) % m)) for s in range(m)]
     for u, v in d.chord_slots:
-        square = (corner_in[u], corner_in[v], corner_out[u], corner_out[v])
-        graph.add_edges_from(zip(square, square[1:] + square[:1]))
-    graph.add_edges_from((corner_out[s], corner_in[(s + 1) % m]) for s in range(m))
-    return bool(nx.check_planarity(graph)[0])
+        square = (2 * u, 2 * v, 2 * u + 1, 2 * v + 1)
+        edges += zip(square, square[1:] + square[:1])
+    adjacency: list[list[int]] = [[] for _ in range(2 * m)]
+    for a, b in edges:
+        if b not in adjacency[a]:  # parallel edges merge into one
+            adjacency[a].append(b)
+            adjacency[b].append(a)
+    return is_planar(adjacency)
 
 
 def _encode_below(

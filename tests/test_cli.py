@@ -434,10 +434,10 @@ class TestVerify:
         ]
 
     def test_bounds(self, capsys):
-        for args in (["--max-chords", "1"], ["--max-chords", "7"]):
+        for args in (["--max-chords", "1"], ["--max-chords", "9"]):
             code, _, err = run_cli(capsys, "verify", *args)
             assert code == 2
-            assert "between 2 and 6" in err
+            assert "between 2 and 8" in err
         code, _, err = run_cli(capsys, "verify", "--max-chords", "3", "--threads", "0")
         assert code == 2
         assert "positive" in err
@@ -501,6 +501,20 @@ class TestTopLevel:
         assert code == 2
         assert out == ""
         assert err == "internal error: AssertionError: impossible face count\n"
+
+    def test_import_leaves_networkx_out(self):
+        src = str(Path(gaussflip.__file__).parent.parent)
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys, gaussflip.cli; assert 'networkx' not in sys.modules",
+            ],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
 
     def test_module_entry_point(self):
         # the child imports the same gaussflip as this test, installed or not

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
-from gaussflip.diagrams import canonical_words, parse_word
+from gaussflip.diagrams import GaussDiagram, canonical_words, parse_word
 from gaussflip.realize import (
     NotAPlaneCurveError,
     RealizeError,
@@ -181,6 +183,29 @@ class TestGadgetOracle:
         assert gadget_planarity(parse_word("AA"))
         assert gadget_planarity(parse_word("AABB"))
         assert not gadget_planarity(parse_word("ABAB"))
+
+    def test_matches_criterion_up_to_seven(self):
+        checked = 0
+        for n in range(1, 8):
+            for word in canonical_words(n):
+                d = parse_word(word)
+                assert gadget_planarity(d) == is_realizable(d), word
+                checked += 1
+        assert checked == 5941
+
+    @pytest.mark.parametrize("star", [51, 50])
+    def test_large_gadget_under_default_recursion_limit(self, star):
+        # 600 kinks around a star of 51 (realizable) or 50 (unrealizable)
+        # chords: 2,600 gadget vertices, deeper than a recursive search can go
+        kinks = [f"K{i}" for i in range(600) for _ in range(2)]
+        stars = [f"S{i}" for i in range(star)] * 2
+        d = GaussDiagram.from_tokens(kinks[:600] + stars + kinks[600:])
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)  # CPython's default
+        try:
+            assert gadget_planarity(d) == is_realizable(d) == (star % 2 == 1)
+        finally:
+            sys.setrecursionlimit(limit)
 
 
 class TestCurveCodes:
