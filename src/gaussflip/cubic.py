@@ -8,7 +8,10 @@ converting to and from diagrams, isomorphism testing, and a per-graph
 census of the diagram classes its cycles produce.
 
 Vertices are 0..m-1.  Parallel edges are allowed (a 3-regular graph on two
-vertices is a triple edge); self-loops are not.
+vertices is a triple edge); self-loops are not.  A graph keeps its edge
+multiset sorted, and one adjacency (each vertex's three neighbours,
+parallel edges repeated) that multiplicities, distinct neighbours,
+isomorphism checks and chord ends are all read from.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from collections import Counter, deque
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 
 from .diagrams import GaussDiagram, canonical_form, from_chord_pairs
 from .realize import realizable_class
@@ -40,7 +44,7 @@ class CycleMismatchError(GraphError):
 
 @dataclass(frozen=True)
 class CubicGraph:
-    """3-regular multigraph: edge multiset as sorted (u, v) pairs, u < v."""
+    """3-regular multigraph: edge multiset as (u, v) pairs, u < v, sorted."""
 
     m: int
     edges: tuple[tuple[int, int], ...]
@@ -48,51 +52,53 @@ class CubicGraph:
     def __post_init__(self) -> None:
         if self.m < 2 or self.m % 2:
             raise NotCubicError(f"{self.m} vertices cannot all have degree 3")
-        degrees = [0] * self.m
-        for u, v in self.edges:
-            if not (0 <= u < self.m and 0 <= v < self.m):
+        edges = sorted((u, v) if u < v else (v, u) for u, v in self.edges)
+        object.__setattr__(self, "edges", tuple(edges))
+        degrees: Counter[int] = Counter()
+        for u, v in edges:
+            if u < 0 or v >= self.m:
                 raise GraphError(f"edge ({u}, {v}) outside 0..{self.m - 1}")
             if u == v:
                 raise NotCubicError(f"vertex {u} has a self-loop")
-            if u > v:
-                raise GraphError(f"edge ({u}, {v}) not normalized; use from_edges")
             degrees[u] += 1
             degrees[v] += 1
-        if tuple(sorted(self.edges)) != self.edges:
-            raise GraphError("edge list not sorted; use from_edges")
-        bad = [(v, d) for v, d in enumerate(degrees) if d != 3]
-        if bad:
-            detail = "; ".join(f"vertex {v} has degree {d}" for v, d in bad)
+        # a vertex absent from ``degrees`` has degree 0, so the first three
+        # faults lie among the first len(degrees) + 3 vertices, whatever m is
+        faults = self.m - sum(d == 3 for d in degrees.values())
+        if faults:
+            bad = islice((v for v in range(self.m) if degrees[v] != 3), 3)
+            detail = "; ".join(f"vertex {v} has degree {degrees[v]}" for v in bad)
+            if faults > 3:
+                detail += f"; {faults - 3} more not of degree 3"
             raise NotCubicError(f"graph is not cubic: {detail}")
 
     @classmethod
     def from_edges(
         cls, edges: Iterable[Sequence[int]], m: int | None = None
     ) -> CubicGraph:
-        norm = sorted(tuple(sorted((int(u), int(v)))) for u, v in edges)
+        edges = tuple(edges)
         if m is None:
-            if not norm:
+            if not edges:
                 raise GraphError("no edges given")
-            m = max(v for e in norm for v in e) + 1
-        return cls(m, tuple(norm))
+            m = max(max(e) for e in edges) + 1
+        return cls(m, edges)
 
     @cached_property
-    def _multiplicity(self) -> Counter[tuple[int, int]]:
-        return Counter(self.edges)
+    def _adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Each vertex's three neighbours, ascending, parallel edges repeated."""
+        adjacent: list[list[int]] = [[] for _ in range(self.m)]
+        for u, v in self.edges:
+            adjacent[u].append(v)
+            adjacent[v].append(u)
+        return tuple(tuple(sorted(a)) for a in adjacent)
 
     @cached_property
     def neighbor_sets(self) -> tuple[tuple[int, ...], ...]:
         """Distinct neighbors of each vertex, ascending."""
-        nbrs: list[set[int]] = [set() for _ in range(self.m)]
-        for u, v in self.edges:
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-        return tuple(tuple(sorted(s)) for s in nbrs)
+        return tuple(tuple(dict.fromkeys(a)) for a in self._adjacency)
 
     def multiplicity(self, u: int, v: int) -> int:
-        if u > v:
-            u, v = v, u
-        return self._multiplicity[(u, v)]
+        return self._adjacency[u].count(v)
 
     def to_edge_list(self) -> str:
         return "".join(f"{u} {v}\n" for u, v in self.edges)
@@ -162,14 +168,6 @@ class HamCycle:
         if len(vs) > 2 and vs[1] > vs[-1]:
             vs = [vs[0]] + vs[1:][::-1]
         return cls(tuple(vs))
-
-    def edge_steps(self) -> list[tuple[int, int]]:
-        """Consecutive vertex pairs, unordered, one per traversal step."""
-        vs = self.vertices
-        return [
-            tuple(sorted((vs[i], vs[(i + 1) % len(vs)])))
-            for i in range(len(vs))
-        ]
 
     def __str__(self) -> str:
         return " ".join(str(v) for v in self.vertices)
@@ -242,22 +240,26 @@ def hamiltonian_cycles(g: CubicGraph) -> list[HamCycle]:
 def diagram_from_cycle(g: CubicGraph, cycle: HamCycle) -> GaussDiagram:
     """Read the Gauss diagram of (g, cycle): non-cycle edges become chords.
 
-    The cycle lays the vertices out on a circle; removing one copy of each
-    traversed edge leaves a perfect matching on the vertices (each vertex
-    keeps exactly one of its three edge ends), and each matching edge turns
-    into the chord joining the positions of its endpoints.
+    The cycle lays the vertices out on a circle.  Removing a vertex's two
+    cycle neighbours from its three leaves its chord end; an edge of
+    multiplicity k traversed c times leaves k - c ends at both its
+    vertices, so the ends pair up into chords between cycle positions.
     """
-    remaining = Counter(g.edges)
-    remaining.subtract(cycle.edge_steps())
-    if sorted(cycle.vertices) != list(range(g.m)) or min(remaining.values()) < 0:
-        raise CycleMismatchError(
-            f"cycle {cycle} is not a Hamiltonian cycle of this graph"
-        )
-    matching = [e for e, c in remaining.items() for _ in range(c)]
-    covered = sorted(v for e in matching for v in e)
-    assert covered == list(range(g.m)), "leftover edges must form a perfect matching"
-    pos = {v: i for i, v in enumerate(cycle.vertices)}
-    return from_chord_pairs([(pos[u], pos[v]) for u, v in matching])
+    vs = cycle.vertices
+    if sorted(vs) != list(range(g.m)):
+        raise CycleMismatchError(f"cycle {cycle} does not visit every vertex once")
+    pos = {v: i for i, v in enumerate(vs)}
+    partner = []
+    for i, v in enumerate(vs):
+        ends = list(g._adjacency[v])
+        for w in (vs[i - 1], vs[(i + 1) % g.m]):
+            if w not in ends:
+                raise CycleMismatchError(
+                    f"cycle {cycle} steps from {v} to {w} along no edge left"
+                )
+            ends.remove(w)
+        partner.append(pos[ends[0]])
+    return from_chord_pairs([(i, j) for i, j in enumerate(partner) if i < j])
 
 
 def graph_from_diagram(d: GaussDiagram) -> tuple[CubicGraph, HamCycle]:
@@ -295,8 +297,8 @@ def are_isomorphic(
     A vertex with a placed neighbor u may map only to an unused neighbor of
     u's image; a component root may map to any unused vertex.  Candidates
     are tried in ascending order, and one is kept when the used neighbors
-    of its image are exactly the images of its placed neighbors, with equal
-    multiplicities.  The witness is the least isomorphism in that order.
+    of its image, parallel edges repeated, are the sorted images of its
+    placed neighbors.  The witness is the least isomorphism in that order.
     Each depth keeps its placed neighbors' images and the candidates it
     has left on an explicit stack, so the depth is not bounded by Python
     recursion.
@@ -307,9 +309,9 @@ def are_isomorphic(
     order = _bfs_order(g1)
     image = [-1] * m  # g1 vertex -> g2 vertex, -1 while unplaced
     used = [False] * m
-    # by depth: {image of a placed neighbor: multiplicity}, candidates left;
+    # by depth: sorted images of the placed neighbors, candidates left;
     # entries are replaced on the way down, never mutated
-    arounds: list[dict[int, int]] = [{}] * m
+    arounds: list[list[int]] = [[]] * m
     pools: list[Iterator[int]] = [iter(range(m))] * m
     depth = 0
     while depth >= 0:
@@ -318,9 +320,7 @@ def are_isomorphic(
             used[image[v]] = False
         around = arounds[depth]
         for w in pools[depth]:
-            if not used[w] and around == {
-                x: g2.multiplicity(w, x) for x in g2.neighbor_sets[w] if used[x]
-            }:
+            if not used[w] and around == [x for x in g2._adjacency[w] if used[x]]:
                 break
         else:
             image[v] = -1
@@ -332,18 +332,14 @@ def are_isomorphic(
         if depth == m:
             break
         v = order[depth]
-        arounds[depth] = around = {
-            image[u]: g1.multiplicity(v, u)
-            for u in g1.neighbor_sets[v]
-            if image[u] >= 0
-        }
-        pools[depth] = iter(
-            g2.neighbor_sets[next(iter(around))] if around else range(m)
+        arounds[depth] = around = sorted(
+            image[u] for u in g1._adjacency[v] if image[u] >= 0
         )
+        pools[depth] = iter(g2.neighbor_sets[around[0]] if around else range(m))
     else:
         return False, None
-    remapped = sorted(tuple(sorted((image[u], image[v]))) for u, v in g1.edges)
-    assert remapped == list(g2.edges), "witness must carry edges to edges"
+    remapped = CubicGraph(m, tuple((image[u], image[v]) for u, v in g1.edges))
+    assert remapped == g2, "witness must carry edges to edges"
     return True, dict(enumerate(image))
 
 

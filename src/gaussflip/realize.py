@@ -219,6 +219,11 @@ def realize_all(d: GaussDiagram) -> list[EmbeddingReport]:
 
     Only the 2^k systems of the cut colourings are traced, k the number of
     components of the interlacement graph; each must trace to genus 0.
+    A key and its mirror (every bit flipped) are both traced, not one
+    derived from the other: the caller gets every plane embedding with its
+    own faces (the README shows rotations [10, 21]), and derived faces
+    would need a second face routine with its own tests, to save about
+    0.06 s per traced ``analyze`` round.
     """
     solved = _cut_colouring(d)
     if solved is None:

@@ -292,6 +292,14 @@ class TestGraph:
         assert "not cubic" in err
         assert "vertex 0 has degree 2" in err
 
+    @pytest.mark.parametrize("vertex", ["999999", "99999999999999999999"])
+    def test_huge_vertex_rejected_fast(self, capsys, vertex):
+        # degrees are counted from the edges, and only three faults are named
+        code, out, err = run_cli(capsys, "graph", "hamcycles", f"0 1,0 1,0 {vertex}")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: graph is not cubic: vertex 1 has degree 2;")
+        assert len(err.encode()) < 200
+
     def test_bad_specs(self, capsys):
         code, _, err = run_cli(capsys, "graph", "census", "mobius:x")
         assert code == 2

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 from itertools import permutations
 from pathlib import Path
 
@@ -26,6 +27,7 @@ from gaussflip.cubic import (
     parse_edge_list,
 )
 from gaussflip.diagrams import (
+    GaussDiagram,
     canonical_form,
     canonical_words,
     from_chord_pairs,
@@ -154,6 +156,20 @@ def matching_cycles(g: CubicGraph) -> set[HamCycle]:
     return found
 
 
+def reference_diagram_from_cycle(g: CubicGraph, cycle: HamCycle) -> GaussDiagram:
+    """The edge-multiset derivation: every edge less one copy per cycle step."""
+    vs = cycle.vertices
+    remaining = Counter(g.edges)
+    remaining.subtract(tuple(sorted((vs[i - 1], vs[i]))) for i in range(len(vs)))
+    if sorted(vs) != list(range(g.m)) or min(remaining.values()) < 0:
+        raise CycleMismatchError(f"cycle {cycle} is not a Hamiltonian cycle")
+    matching = [e for e, c in remaining.items() for _ in range(c)]
+    covered = sorted(v for e in matching for v in e)
+    assert covered == list(range(g.m)), "leftover edges must form a perfect matching"
+    pos = {v: i for i, v in enumerate(vs)}
+    return from_chord_pairs([(pos[u], pos[v]) for u, v in matching])
+
+
 def random_diagram_graph(rng: random.Random, n: int) -> CubicGraph:
     labels = [chr(ord("A") + i) for i in range(n)] * 2
     rng.shuffle(labels)
@@ -185,6 +201,21 @@ class TestConstruction:
             CubicGraph.from_edges(
                 [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4), (4, 5), (4, 5)]
             )
+
+    def test_huge_vertex_number_rejected_without_allocating(self):
+        # degrees come from the edges, and only three faults are named
+        with pytest.raises(
+            NotCubicError,
+            match=r"vertex 1 has degree 2; vertex 2 has degree 0; "
+            r"vertex 3 has degree 0; 999999999996 more not of degree 3$",
+        ):
+            CubicGraph.from_edges([(0, 1), (0, 1), (0, 10**12 - 1)])
+
+    def test_direct_construction_normalizes_edges(self):
+        g = CubicGraph(4, ((3, 2), (1, 0), (2, 0), (3, 1), (1, 2), (0, 3)))
+        assert g == K4
+        assert g.edges == ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+        assert g.neighbor_sets[0] == (1, 2, 3)
 
     def test_rejects_self_loop(self):
         with pytest.raises(NotCubicError, match="self-loop"):
@@ -273,6 +304,14 @@ class TestHamiltonianCycles:
     def test_triple_edge(self):
         assert hamiltonian_cycles(TRIPLE_EDGE) == [HamCycle((0, 1))]
 
+    def test_closed_form_counts_on_ladders_and_prisms(self):
+        # Moebius ladders: k + 3 cycles for odd k, k + 1 for even k;
+        # prisms: k for odd k, k + 2 for even k
+        for k in range(3, 41):
+            ladder, pr = moebius_ladder(k), prism(k)
+            assert len(hamiltonian_cycles(ladder)) == k + (3 if k % 2 else 1), k
+            assert len(hamiltonian_cycles(pr)) == k + (0 if k % 2 else 2), k
+
     def test_deterministic_and_sorted(self):
         cycles = hamiltonian_cycles(moebius_ladder(6))
         assert cycles == sorted(cycles, key=lambda h: h.vertices)
@@ -358,6 +397,33 @@ class TestDiagramBridge:
         assert g.multiplicity(0, 1) == 2
         assert g.multiplicity(2, 3) == 2
         assert h == HamCycle((0, 1, 2, 3))
+
+    def test_matches_edge_multiset_reference_up_to_six_chords(self):
+        rng = random.Random(13)
+        for n in range(1, 7):
+            for word in canonical_words(n):
+                g = graph_from_diagram(parse_word(word))[0]
+                for h in (g, relabelled(rng, g)):
+                    for cycle in hamiltonian_cycles(h):
+                        got = diagram_from_cycle(h, cycle)
+                        want = reference_diagram_from_cycle(h, cycle)
+                        assert got == want, (word, cycle)
+                        assert got.word() == want.word(), (word, cycle)
+
+    @pytest.mark.parametrize(
+        "vertices",
+        [
+            (0, 2, 4, 1, 3, 5),  # the step 0-2 is not an edge
+            (0, 1, 2, 3, 4, 6),  # vertex 6 is not in the graph, 5 is missed
+            (0, 1, 2, 3),  # vertices 4 and 5 are missed
+        ],
+    )
+    def test_mismatch_like_reference(self, vertices):
+        g, cycle = moebius_ladder(3), HamCycle(vertices)
+        with pytest.raises(CycleMismatchError):
+            reference_diagram_from_cycle(g, cycle)
+        with pytest.raises(CycleMismatchError):
+            diagram_from_cycle(g, cycle)
 
     def test_roundtrip_canonical_all_small(self):
         for n in range(1, 5):

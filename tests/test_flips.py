@@ -194,7 +194,11 @@ class TestTwoSwitches:
         for n in range(2, 7):
             for word in canonical_words(n):
                 g, _ = graph_from_diagram(parse_word(word))
-                cycles = [(h, Counter(h.edge_steps())) for h in hamiltonian_cycles(g)]
+                cycles = []
+                for h in hamiltonian_cycles(g):  # each with its multiset of steps
+                    vs = h.vertices
+                    steps = Counter(frozenset(e) for e in zip(vs, vs[1:] + vs[:1]))
+                    cycles.append((h, steps))
                 for (h, steps_h), (k, steps_k) in itertools.combinations(cycles, 2):
                     if sum((steps_h - steps_k).values()) != 2:
                         continue
