@@ -18,6 +18,7 @@ Input beyond a command's size limit also exits 2 with an ``error:`` line:
 ``ANALYZE_MAX_UNREALIZABLE`` chords and a realizable one of more than
 ``ANALYZE_MAX_COMPONENTS`` interlacement components, whose 2^n or 2^k
 walks would run for seconds to hours; ``check`` decides either in O(n^2).
+``graph`` refuses ``mobius:k`` above ``MOBIUS_MAX`` before building it.
 """
 
 from __future__ import annotations
@@ -72,6 +73,10 @@ ANALYZE_MAX_UNREALIZABLE = 16
 # embeddings to trace and code: k isolated chords take 3.2 s at k = 14
 # and 8.4 s at k = 15 on the same host.
 ANALYZE_MAX_COMPONENTS = 14
+# `graph iso mobius:k mobius:k --json` takes 0.5 s and 41 MB at k = 10^4
+# and 3.7 s and 254 MB at k = 10^5 on a 2-core host; the ladder is built
+# before any other check, so a larger k is refused as input.
+MOBIUS_MAX = 100_000
 
 
 def _verdict(realizable: bool) -> str:
@@ -89,6 +94,10 @@ def _load_graph(spec: str) -> CubicGraph:
             k = int(spec.split(":", 1)[1])
         except ValueError as exc:
             raise GraphError(f"bad ladder order in {spec!r}") from exc
+        if k > MOBIUS_MAX:
+            raise GraphError(
+                f"ladder order {k} in {spec!r} exceeds the limit of {MOBIUS_MAX}"
+            )
         return moebius_ladder(k)
     if spec == "-":
         return parse_edge_list(sys.stdin.read())

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
 
-from .diagrams import GaussDiagram, canonical_form, from_chord_pairs
+from .diagrams import GaussDiagram, canonical_form
 from .realize import realizable_class
 
 
@@ -243,7 +243,8 @@ def diagram_from_cycle(g: CubicGraph, cycle: HamCycle) -> GaussDiagram:
     The cycle lays the vertices out on a circle.  Removing a vertex's two
     cycle neighbours from its three leaves its chord end; an edge of
     multiplicity k traversed c times leaves k - c ends at both its
-    vertices, so the ends pair up into chords between cycle positions.
+    vertices, so the ends pair up into chords between cycle positions,
+    and each position's partner is already the diagram's pairing.
     """
     vs = cycle.vertices
     if sorted(vs) != list(range(g.m)):
@@ -259,7 +260,7 @@ def diagram_from_cycle(g: CubicGraph, cycle: HamCycle) -> GaussDiagram:
                 )
             ends.remove(w)
         partner.append(pos[ends[0]])
-    return from_chord_pairs([(i, j) for i, j in enumerate(partner) if i < j])
+    return GaussDiagram(g.m // 2, tuple(partner))
 
 
 def graph_from_diagram(d: GaussDiagram) -> tuple[CubicGraph, HamCycle]:
@@ -339,7 +340,8 @@ def are_isomorphic(
     else:
         return False, None
     remapped = CubicGraph(m, tuple((image[u], image[v]) for u, v in g1.edges))
-    assert remapped == g2, "witness must carry edges to edges"
+    if remapped != g2:
+        raise AssertionError("witness must carry edges to edges")
     return True, dict(enumerate(image))
 
 

@@ -65,16 +65,18 @@ def flip_sites(d: GaussDiagram) -> list[FlipSite]:
     itself, so only P = (a, b), Q = (a+1, b+1) gives a new cycle: the
     site (a, b).  It reads one in-between arc backwards: the flip.
     """
+    sites = (_site_at(d, i) for i in range(2 * d.n))
+    return [site for site in sites if site is not None]
+
+
+def _site_at(d: GaussDiagram, i: int) -> FlipSite | None:
+    """The site with P at slots (i, pairing[i]), if Q sits one slot on."""
     m = 2 * d.n
-    chord = d.chord_of
-    sites: list[FlipSite] = []
-    for i in range(m):
-        j = d.pairing[i]
-        if d.pairing[(i + 1) % m] == (j + 1) % m and chord[i] != chord[(i + 1) % m]:
-            sites.append(
-                FlipSite(i, j, d.labels[chord[i]], d.labels[chord[(i + 1) % m]])
-            )
-    return sites
+    j, k = d.pairing[i], (i + 1) % m
+    p, q = d.chord_of[i], d.chord_of[k]
+    if d.pairing[k] != (j + 1) % m or p == q:
+        return None
+    return FlipSite(i, j, d.labels[p], d.labels[q])
 
 
 def apply_flip(d: GaussDiagram, site: FlipSite) -> GaussDiagram:
@@ -82,17 +84,22 @@ def apply_flip(d: GaussDiagram, site: FlipSite) -> GaussDiagram:
 
     The four pattern slots stay put, every chord endpoint on the reversed
     arc moves to the mirrored slot, and labels ride along with their
-    chords.
+    chords.  ``move[s]`` is the mirror of slot s across the arc, or s off
+    it, so the new pairing is ``move[pairing[move[s]]]`` and new slot s
+    holds the chord that sat at ``move[s]``.  A site is one slot's reading
+    of the site rule, so checking it re-reads slot ``site.i`` alone: O(1).
     """
-    if site not in flip_sites(d):
+    if not (0 <= site.i < 2 * d.n and _site_at(d, site.i) == site):
         raise StaleSiteError(
             f"site (i={site.i}, j={site.j}) does not describe this diagram"
         )
-    names = [d.labels[cid] for cid in d.chord_of]
+    move = list(range(2 * d.n))
     arc = site.flipped_arc(d.n)
     for s, t in zip(arc, reversed(arc)):
-        names[s] = d.labels[d.chord_of[t]]
-    return GaussDiagram.from_tokens(names)
+        move[s] = t
+    pairing = tuple(move[d.pairing[t]] for t in move)
+    chords = dict.fromkeys(d.chord_of[t] for t in move)
+    return GaussDiagram(d.n, pairing, tuple(d.labels[c] for c in chords))
 
 
 @dataclass(frozen=True)

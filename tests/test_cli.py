@@ -304,6 +304,10 @@ class TestGraph:
         code, _, err = run_cli(capsys, "graph", "census", "mobius:x")
         assert code == 2
         assert "bad ladder order" in err
+        # refused before the 3 * 10^8 edges are built
+        code, _, err = run_cli(capsys, "graph", "hamcycles", "mobius:100000000")
+        assert code == 2
+        assert err.startswith("error: ladder order 100000000 ")
         code, _, err = run_cli(capsys, "graph", "census", "no-such-file")
         assert code == 2
         assert "cannot read graph" in err

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import itertools
 import os
+import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -15,7 +17,12 @@ from gaussflip.cubic import (
     graph_from_diagram,
     hamiltonian_cycles,
 )
-from gaussflip.diagrams import canonical_form, canonical_words, parse_word
+from gaussflip.diagrams import (
+    GaussDiagram,
+    canonical_form,
+    canonical_words,
+    parse_word,
+)
 from gaussflip.flips import (
     FlipError,
     FlipSite,
@@ -53,6 +60,24 @@ def slot_permutation_flip(d, site):
             seen.add(name)
             labels.append(name)
     return tuple(pairing), tuple(labels)
+
+
+def token_route_flip(d, site):
+    """Reference flip: respell the word with the arc's labels reversed, reparse."""
+    names = [d.labels[cid] for cid in d.chord_of]
+    arc = site.flipped_arc(d.n)
+    for s, t in zip(arc, reversed(arc)):
+        names[s] = d.labels[d.chord_of[t]]
+    return GaussDiagram.from_tokens(names)
+
+
+def random_words(seed, count, max_n):
+    """Seeded random words of 2..max_n chords with multi-character labels."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        tokens = [f"c{k}" for k in range(rng.randint(2, max_n))] * 2
+        rng.shuffle(tokens)
+        yield GaussDiagram.from_tokens(tokens)
 
 
 class TestSites:
@@ -102,13 +127,14 @@ class TestApply:
                     assert again == d, (word, site)
 
     def test_matches_slot_permutation_reference(self):
-        for n in range(2, 7):
-            for word in canonical_words(n):
-                d = parse_word(word)
-                for site in flip_sites(d):
-                    got = apply_flip(d, site)
-                    want = slot_permutation_flip(d, site)
-                    assert (got.pairing, got.labels) == want, (word, site)
+        classes = [parse_word(w) for n in range(2, 8) for w in canonical_words(n)]
+        for d in classes + list(random_words(7, 300, 30)):
+            for site in flip_sites(d):
+                got = apply_flip(d, site)
+                want = slot_permutation_flip(d, site)
+                assert (got.pairing, got.labels) == want, (d.word(), site)
+                tokens = token_route_flip(d, site)
+                assert (got.pairing, got.labels) == (tokens.pairing, tokens.labels)
 
     def test_labels_ride_with_chords(self):
         site = flip_sites(DIAMETERS)[0]
@@ -140,12 +166,18 @@ class TestApply:
     def test_every_unlisted_site_is_stale(self):
         for word in ("AABB", "ABAB", "ADBECADBEC"):
             d = parse_word(word)
+            m = 2 * d.n
             listed = {(s.i, s.j) for s in flip_sites(d)}
-            for i in range(2 * d.n):
-                for j in range(2 * d.n):
+            for i in range(m):
+                for j in range(m):
                     if (i, j) not in listed:
                         with pytest.raises(StaleSiteError):
                             apply_flip(d, FlipSite(i, j, "A", "B"))
+            # a listed site one full turn off: slot -1 must not read as 2n-1
+            for site in flip_sites(d):
+                for shift in (-m, m):
+                    with pytest.raises(StaleSiteError):
+                        apply_flip(d, replace(site, i=site.i + shift))
 
 
 class TestOrbits:
