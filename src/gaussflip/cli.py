@@ -12,7 +12,9 @@ The parser is built once per process, at import; ``main`` looks up
 
 Exit codes: 0 success (and "realizable" for check), 1 unrealizable (check
 only), 2 malformed input (or an internal error, labelled as such on
-stderr), 3 verification found a counterexample or an oracle disagreement.
+stderr), 3 verification found a counterexample or an oracle disagreement,
+141 (128 + SIGPIPE) the reader of stdout closed it early, as ``| head``
+does, with nothing on stderr.
 Input beyond a command's size limit also exits 2 with an ``error:`` line:
 ``analyze`` refuses an unrealizable diagram of more than
 ``ANALYZE_MAX_UNREALIZABLE`` chords and a realizable one of more than
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections.abc import Iterable, Iterator
 from pathlib import Path
@@ -51,6 +54,7 @@ from .flips import FlipError, apply_flip, flip_orbit, flip_sites, verify_flip_th
 from .realize import (
     RealizeError,
     _cut_colouring,
+    _one_per_curve,
     curve_code,
     gadget_planarity,
     is_realizable,
@@ -70,8 +74,11 @@ VERIFY_MAX = 8
 # 2.6 s at 16 chords and 4.5 s at 17 on a 2-core host.
 ANALYZE_MAX_UNREALIZABLE = 16
 # A realizable diagram with k interlacement components has 2^k plane
-# embeddings to trace and code: k isolated chords take 3.2 s at k = 14
-# and 8.4 s at k = 15 on the same host.
+# embeddings to trace, and codes one per orbit of its symmetries and the
+# mirror.  With the identity as its only symmetry that is 2^(k-1) codes:
+# nested chords AABCCBDEFFED... in nests of 1, 2, 3, 4 and 4 chords (k = 14)
+# take 2.8-3.1 s, and in nests of 1 to 5 chords (k = 15) 7.2 s, on the same
+# host.  14 isolated chords, with 28 symmetries, take 0.85 s.
 ANALYZE_MAX_COMPONENTS = 14
 # `graph iso mobius:k mobius:k --json` takes 0.5 s and 41 MB at k = 10^4
 # and 3.7 s and 254 MB at k = 10^5 on a 2-core host; the ladder is built
@@ -141,11 +148,10 @@ def analysis_record(d: GaussDiagram, raw: str) -> dict:
         )
     genus = 0 if realizable else min_genus(d)
     gadget = gadget_planarity(d)
-    curves: dict[str, tuple[int, ...]] = {}
-    for report in reports:
-        if report.rotation & 1:  # key ^ full is the mirror: same code and faces
-            continue
-        curves.setdefault(curve_code(report), report.face_degrees())
+    curves = {
+        curve_code(report): report.face_degrees()
+        for report in _one_per_curve(d, reports)
+    }
     return {
         "input": raw,
         "word": d.word(),
@@ -389,7 +395,16 @@ def main(argv: list[str] | None = None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 2
     try:
-        return globals()[f"cmd_{args.command}"](args)
+        code = globals()[f"cmd_{args.command}"](args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader left, e.g. `| head`; fd 1 goes to the null device so
+        # that the interpreter's last flush of stdout stays quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, 1)
+        os.close(devnull)
+        return 141
     except (DiagramError, GraphError, FlipError, RealizeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

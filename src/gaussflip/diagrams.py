@@ -253,6 +253,28 @@ def _difference(
     return 0
 
 
+def _symmetries(d: GaussDiagram) -> list[tuple[int, int]]:
+    """The reads ``(start, step)`` whose circle map keeps ``d``'s pairing.
+
+    The read's map is g(i) = (start + step * i) % 2n.  It ties with the
+    word ``d.chord_of`` over every index exactly when it relabels to the
+    same word, i.e. when p[g(i)] == g(p[i]) for every slot i: g is a
+    rotation or reflection of the circle that maps chords onto chords.
+    The identity read (0, 1) is always among them.
+    """
+    p = d.pairing
+    opened = [0]
+    for s, t in enumerate(p):
+        opened.append(opened[s] + (t > s))
+    m = len(p)
+    return [
+        (start, step)
+        for start in range(m)
+        for step in (1, -1)
+        if _difference(d.chord_of, p, opened, start, step, 0, m) == 0
+    ]
+
+
 def canonical_form(d: GaussDiagram) -> str:
     """The lexicographically least word over all 4n symmetries of ``d``.
 

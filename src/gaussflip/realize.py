@@ -48,6 +48,16 @@ crossing visited at slots u and v are
 next-face-dart rule: after arriving on dart d, leave on the rotation
 successor of the reversed dart.
 
+Curve codes.  ``curve_code`` names the plane curve an embedding draws,
+up to homeomorphisms of the sphere.  A symmetry g of the diagram (a
+rotation or reflection of the circle that maps chords onto chords) acts
+on keys: bit i, for chord i at slots u < v, moves to the chord at slot
+g(u), and flips when g(u) > g(v).  g.k and the complement of g.k draw
+the same curve as k, so ``_one_per_curve`` picks the least key of each
+orbit and ``analyze`` codes only those.  On every realizable class up to
+8 chords the orbits number exactly the distinct codes, so each curve is
+coded once.
+
 A third, independent route to the verdict replaces every crossing by a
 small square gadget whose corner order forces transversality; the
 diagram is realizable exactly when the resulting ordinary graph is planar.
@@ -63,7 +73,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .diagrams import GaussDiagram, parse_word
+from .diagrams import GaussDiagram, _symmetries, parse_word
 from .planarity import is_planar
 
 
@@ -387,3 +397,60 @@ def curve_code(report: EmbeddingReport) -> str:
                 best = code
     assert best is not None
     return "-".join(f"{best[i]}.{best[i + 1]}" for i in range(0, len(best), 2))
+
+
+def _one_per_curve(
+    d: GaussDiagram, reports: list[EmbeddingReport]
+) -> Iterator[EmbeddingReport]:
+    """One report per orbit of d's symmetries and the mirror, least key first.
+
+    ``reports`` come in ascending key order, as ``realize_all`` gives them.
+    A report whose key is not yet seen is yielded, and then its whole orbit
+    is marked seen: for every symmetry g of d (``_symmetries``), the image
+    key g.k and its complement.  Bit i of g.k, for chord i at slots u < v,
+    is bit i of k moved to the chord at slot g(u), flipped when g(u) > g(v).
+    Every key of an orbit has the same ``curve_code``, so the least key of
+    each orbit stands for all of them.
+
+    Proof.  g relabels the darts, and the relabelling commutes with
+    ``dart ^ 1``.  A rotation g(s) = s + r sends arc a to arc a + r, same
+    direction: dart x goes to x + 2r (mod 4n).  A reflection g(s) = r - s
+    sends arc a, from slot a to a + 1, to the arc from r - a to r - a - 1,
+    which is arc r - a - 1 traversed backward: dart 2a goes to
+    2(r - a - 1) + 1 and dart 2a + 1 to 2(r - a - 1).  Either way the two
+    darts of an arc go to the two darts of one arc.  The relabelling sends
+    the ends at slot s to the ends at slot g(s): a rotation keeps in and
+    out, a reflection swaps them, so the cyclic order in(u), in(v), out(u),
+    out(v) of bit 0 at chord (u, v) goes to the cycle of in(g u), in(g v),
+    out(g u), out(g v) (a reflection gives out, out, in, in: the same
+    cycle).  That is bit 0 at the image chord when g(u) < g(v), and read
+    from in(g v) it is bit 1 when g(u) > g(v); bit 1 goes to the other
+    order the same way.  So the relabelling carries the rotation
+    successors of k to those of g.k, and the face walk ``succ[dart ^ 1]``
+    with them: the two maps are isomorphic.  The complement of a key
+    reverses every cyclic order, the inverse rotation.  ``curve_code``
+    minimises over every root and both chiralities, so it gives isomorphic
+    maps, and mirrored ones, one code.
+    """
+    full = (1 << d.n) - 1
+    m = 2 * d.n
+    actions = []  # per symmetry: the chord each bit moves to, and the flips
+    for start, step in _symmetries(d):
+        target, flipped = [], 0
+        for u, v in d.chord_slots:
+            gu, gv = (start + step * u) % m, (start + step * v) % m
+            target.append(d.chord_of[gu])
+            flipped |= (gu > gv) << d.chord_of[gu]
+        actions.append((target, flipped))
+    seen: set[int] = set()
+    for report in reports:
+        key = report.rotation
+        if key in seen:
+            continue
+        yield report
+        for target, flipped in actions:
+            image = flipped
+            for i, j in enumerate(target):
+                image ^= (key >> i & 1) << j
+            seen.add(image)
+            seen.add(image ^ full)

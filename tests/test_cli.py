@@ -6,6 +6,7 @@ import argparse
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -17,9 +18,10 @@ import gaussflip
 from gaussflip import cli, flips, realize
 from gaussflip.cli import main
 from gaussflip.cubic import graph_from_diagram, moebius_ladder
-from gaussflip.diagrams import parse_word
+from gaussflip.diagrams import GaussDiagram, enumerate_diagrams, parse_word
 
 GOLDEN = Path(__file__).parent / "golden"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 K4_INLINE = "0 1,0 2,0 3,1 2,1 3,2 3"
 K33_INLINE = "0 3,0 4,0 5,1 3,1 4,1 5,2 3,2 4,2 5"
@@ -37,6 +39,92 @@ def assert_json_stable(out: str) -> dict:
     data = json.loads(out)
     assert json.dumps(data, indent=2) + "\n" == out
     return data
+
+
+def reference_curves(d: GaussDiagram) -> list[dict]:
+    """The ``curves`` of ``analysis_record``, coded once per mirror pair.
+
+    A key and its complement draw mirror curves with one code, so every
+    key with bit 0 set is skipped and each other plane embedding is coded.
+    """
+    curves: dict[str, tuple[int, ...]] = {}
+    for report in realize.realize_all(d):
+        if report.rotation & 1:
+            continue
+        curves.setdefault(realize.curve_code(report), report.face_degrees())
+    return [
+        {"code": code, "face_degrees": list(degrees), "face_count": len(degrees)}
+        for code, degrees in sorted(curves.items())
+    ]
+
+
+def record_and_coded(d: GaussDiagram) -> tuple[dict, list[int]]:
+    """``analysis_record`` of d, and the keys it passed to ``curve_code``."""
+    coded = []
+    real_code = cli.curve_code
+
+    def counted(report):
+        coded.append(report.rotation)
+        return real_code(report)
+
+    cli.curve_code = counted
+    try:
+        return cli.analysis_record(d, d.word()), coded
+    finally:
+        cli.curve_code = real_code
+
+
+def assert_matches_reference(d: GaussDiagram) -> None:
+    """``analysis_record`` gives the reference curves, each coded once."""
+    record, coded = record_and_coded(d)
+    assert record["curves"] == reference_curves(d), d.word()
+    assert len(coded) == len(record["curves"]), d.word()
+
+
+def assert_classes_match_reference(max_chords: int) -> None:
+    """Every realizable class up to ``max_chords``; CI runs it at 8."""
+    for n in range(1, max_chords + 1):
+        for d in enumerate_diagrams(n):
+            if realize.is_realizable(d):
+                assert_matches_reference(d)
+
+
+def symmetric_sum(rng: random.Random) -> str:
+    """A rotated connected sum of stars, isolated chords and the fixtures."""
+    parts = (
+        "AA", "AABB", "AABBCC",  # isolated chords
+        "ABCABC", "ABCDEABCDE", "ABCDEFGABCDEFG",  # odd stars
+        "ADBECADBEC", "ACDECABDEB",  # the realizable fixtures
+    )
+    tokens: list[str] = []
+    for _ in range(rng.randint(2, 4)):
+        part = rng.choice(parts)
+        if (len(tokens) + len(part)) // 2 > 14:
+            break
+        used = len(tokens) // 2
+        tokens += [f"X{used + ord(c) - ord('A')}" for c in part]
+    k = rng.randrange(len(tokens))
+    return " ".join(tokens[k:] + tokens[:k])
+
+
+class TestCurvesPerOrbit:
+    """``analysis_record`` codes one embedding per orbit of d's symmetries."""
+
+    def test_classes_up_to_seven_chords(self):
+        assert_classes_match_reference(7)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_benchmark_words(self, monkeypatch, seed):
+        monkeypatch.syspath_prepend(str(BENCH))
+        from inputs import analyze_words
+
+        for word in analyze_words(seed):
+            assert_matches_reference(parse_word(word))
+
+    def test_connected_sums_of_symmetric_parts(self):
+        rng = random.Random(20261019)
+        for _ in range(200):
+            assert_matches_reference(parse_word(symmetric_sum(rng)))
 
 
 class TestAnalyze:
@@ -82,24 +170,15 @@ class TestAnalyze:
         assert counts == {"walks": 0, "systems": 0, "traces": 2}
         assert record["realizations"] == 2
 
-    def test_one_curve_code_per_mirror_pair(self, monkeypatch):
-        coded = []
-        real_code = cli.curve_code
-
-        def counted(report):
-            coded.append(report.rotation)
-            return real_code(report)
-
-        monkeypatch.setattr(cli, "curve_code", counted)
-        for word, embeddings, curves, codes in (
-            ("ADBECADBEC", 2, 1, 1),
-            ("AABBCC", 8, 2, 4),
+    def test_one_curve_code_per_curve(self):
+        for word, embeddings, curves in (
+            ("ADBECADBEC", 2, 1),
+            ("AABBCC", 8, 2),
+            ("AABBCCDDEEFFGGHHIIJJ", 1024, 44),
         ):
-            coded.clear()
-            record = cli.analysis_record(parse_word(word), word)
+            record, coded = record_and_coded(parse_word(word))
             assert record["realizations"] == embeddings
-            assert len(record["curves"]) == curves
-            assert len(coded) == codes, word
+            assert len(record["curves"]) == len(coded) == curves, word
 
     def test_pair_syntax(self, capsys):
         code, out, _ = run_cli(capsys, "analyze", "0-2,1-3")
@@ -513,6 +592,25 @@ class TestTopLevel:
         assert code == 2
         assert out == ""
         assert err == "internal error: AssertionError: impossible face count\n"
+
+    def test_closed_stdout_exits_141_quietly(self):
+        # the reader takes one line and leaves, as `| head -1` does; the
+        # 153 kB of 7-chord classes overrun the pipe, so a write fails
+        src = str(Path(gaussflip.__file__).parent.parent)
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "gaussflip", "enumerate", "--chords", "7"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 141
+        assert first == b"AABBCCDDEEFFGG  realizable\n"
+        assert err == b""
 
     def test_import_leaves_networkx_out(self):
         src = str(Path(gaussflip.__file__).parent.parent)

@@ -24,7 +24,7 @@ from gaussflip.diagrams import (
     parse_diagram_input,
     parse_word,
 )
-from gaussflip.diagrams import _chord_names
+from gaussflip.diagrams import _chord_names, _symmetries
 
 # Five-chord companions used across the suite: all three live on the same
 # cubic graph (see test_cubic) but only the last two bound plane curves.
@@ -263,6 +263,22 @@ class TestSymmetries:
         cases.append(parse_word(" ".join(tokens * 2)))
         for d in cases:
             assert canonical_form(d) == orbit_word(d.pairing)
+
+    def test_symmetry_reads_match_the_pairing_test(self):
+        # a read is a symmetry exactly when its circle map keeps the pairing
+        for n in range(1, 6):
+            m = 2 * n
+            for p in brute_pairings(m):
+                direct = [
+                    (start, step)
+                    for start in range(m)
+                    for step in (1, -1)
+                    if all(
+                        p[(start + step * i) % m] == (start + step * p[i]) % m
+                        for i in range(m)
+                    )
+                ]
+                assert _symmetries(GaussDiagram(n, p)) == direct, p
 
     def test_labels_above_26_chords_carry_a_suffix(self):
         tokens = [f"c{i}" for i in range(27)]
