@@ -4,9 +4,11 @@ A Gauss diagram records the self-crossing pattern of a closed curve; the
 same data is a cubic graph with a marked Hamiltonian cycle.  This package
 parses and canonicalizes diagrams, moves between the diagram and graph
 views, decides which diagrams are actually drawable as plane curves (by
-two independent methods), names the resulting curves canonically, and
-implements the flip move together with an exhaustive check that flips
-preserve realizability.
+three independent routes: Rosenstiehl's interlacement criterion, the
+planarity of a crossing gadget, and exhaustive face tracing behind
+``min_genus``, which is also the test oracle), names the resulting curves
+canonically, and implements the flip move together with an exhaustive
+check that flips preserve realizability.
 """
 
 from .cubic import (

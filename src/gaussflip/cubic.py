@@ -17,8 +17,8 @@ isomorphism checks and chord ends are all read from.
 from __future__ import annotations
 
 from collections import Counter, deque
-from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
+from collections.abc import Iterator
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
 
@@ -44,20 +44,26 @@ class CycleMismatchError(GraphError):
 
 @dataclass(frozen=True)
 class CubicGraph:
-    """3-regular multigraph: edge multiset as (u, v) pairs, u < v, sorted."""
+    """3-regular multigraph: edge multiset as (u, v) pairs, u < v, sorted.
 
-    m: int
+    The edges may come in any order and orientation; they are stored
+    sorted.  The order ``m`` is the largest vertex plus one, so every
+    vertex below it must have degree 3.
+    """
+
     edges: tuple[tuple[int, int], ...]
+    m: int = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.m < 2 or self.m % 2:
-            raise NotCubicError(f"{self.m} vertices cannot all have degree 3")
         edges = sorted((u, v) if u < v else (v, u) for u, v in self.edges)
         object.__setattr__(self, "edges", tuple(edges))
+        if edges and edges[0][0] < 0:
+            raise GraphError(f"edge {edges[0]} has a negative vertex")
+        object.__setattr__(self, "m", max((v for _, v in edges), default=-1) + 1)
+        if self.m < 2 or self.m % 2:
+            raise NotCubicError(f"{self.m} vertices cannot all have degree 3")
         degrees: Counter[int] = Counter()
         for u, v in edges:
-            if u < 0 or v >= self.m:
-                raise GraphError(f"edge ({u}, {v}) outside 0..{self.m - 1}")
             if u == v:
                 raise NotCubicError(f"vertex {u} has a self-loop")
             degrees[u] += 1
@@ -71,17 +77,6 @@ class CubicGraph:
             if faults > 3:
                 detail += f"; {faults - 3} more not of degree 3"
             raise NotCubicError(f"graph is not cubic: {detail}")
-
-    @classmethod
-    def from_edges(
-        cls, edges: Iterable[Sequence[int]], m: int | None = None
-    ) -> CubicGraph:
-        edges = tuple(edges)
-        if m is None:
-            if not edges:
-                raise GraphError("no edges given")
-            m = max(max(e) for e in edges) + 1
-        return cls(m, edges)
 
     @cached_property
     def _adjacency(self) -> tuple[tuple[int, ...], ...]:
@@ -127,7 +122,7 @@ def parse_edge_list(text: str) -> CubicGraph:
             raise GraphError(f"line {lineno}: non-integer vertex in {line!r}") from exc
     if not edges:
         raise GraphError("no edges found")
-    return CubicGraph.from_edges(edges)
+    return CubicGraph(tuple(edges))
 
 
 def moebius_ladder(k: int) -> CubicGraph:
@@ -136,38 +131,30 @@ def moebius_ladder(k: int) -> CubicGraph:
         raise UnsupportedOrderError(f"ladder order must be at least 3, got {k}")
     m = 2 * k
     edges = [(i, (i + 1) % m) for i in range(m)] + [(i, i + k) for i in range(k)]
-    return CubicGraph.from_edges(edges, m)
+    return CubicGraph(tuple(edges))
 
 
 @dataclass(frozen=True)
 class HamCycle:
     """Hamiltonian cycle stored in canonical traversal order.
 
-    The least vertex comes first and, for length 3 or more, its smaller
-    neighbor second, so each geometric cycle has exactly one stored form.
+    The vertices may be given from any start, in either direction.  They
+    are stored rotated to the least vertex and turned toward its smaller
+    neighbor, so each geometric cycle has exactly one stored form; a
+    2-cycle (the triple edge) has no direction to fix.
     """
 
     vertices: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        vs = self.vertices
-        if len(vs) < 2 or len(set(vs)) != len(vs):
-            raise CycleMismatchError("cycle must visit distinct vertices")
-        if vs[0] != min(vs):
-            raise CycleMismatchError("cycle not in canonical rotation")
-        if len(vs) > 2 and vs[1] > vs[-1]:
-            raise CycleMismatchError("cycle not in canonical direction")
-
-    @classmethod
-    def from_sequence(cls, seq: Sequence[int]) -> HamCycle:
-        vs = [int(v) for v in seq]
+        vs = tuple(self.vertices)
         if len(vs) < 2 or len(set(vs)) != len(vs):
             raise CycleMismatchError("cycle must visit distinct vertices")
         k = vs.index(min(vs))
         vs = vs[k:] + vs[:k]
-        if len(vs) > 2 and vs[1] > vs[-1]:
-            vs = [vs[0]] + vs[1:][::-1]
-        return cls(tuple(vs))
+        if vs[1] > vs[-1]:
+            vs = vs[:1] + vs[:0:-1]
+        object.__setattr__(self, "vertices", vs)
 
     def __str__(self) -> str:
         return " ".join(str(v) for v in self.vertices)
@@ -260,14 +247,14 @@ def diagram_from_cycle(g: CubicGraph, cycle: HamCycle) -> GaussDiagram:
                 )
             ends.remove(w)
         partner.append(pos[ends[0]])
-    return GaussDiagram(g.m // 2, tuple(partner))
+    return GaussDiagram(tuple(partner))
 
 
 def graph_from_diagram(d: GaussDiagram) -> tuple[CubicGraph, HamCycle]:
     """The cubic graph on the slots: circle arcs plus one edge per chord."""
     m = 2 * d.n
     edges = [(s, (s + 1) % m) for s in range(m)] + list(d.chord_slots)
-    return CubicGraph.from_edges(edges, m), HamCycle(tuple(range(m)))
+    return CubicGraph(tuple(edges)), HamCycle(tuple(range(m)))
 
 
 def _bfs_order(g: CubicGraph) -> list[int]:
@@ -339,7 +326,7 @@ def are_isomorphic(
         pools[depth] = iter(g2.neighbor_sets[around[0]] if around else range(m))
     else:
         return False, None
-    remapped = CubicGraph(m, tuple((image[u], image[v]) for u, v in g1.edges))
+    remapped = CubicGraph(tuple((image[u], image[v]) for u, v in g1.edges))
     if remapped != g2:
         raise AssertionError("witness must carry edges to edges")
     return True, dict(enumerate(image))

@@ -61,23 +61,23 @@ def _join_tokens(tokens: Sequence[str]) -> str:
 class GaussDiagram:
     """An n-chord diagram: involution ``pairing`` on slots 0..2n-1.
 
-    ``pairing[s]`` is the slot sharing a chord with slot ``s``.  ``labels``
-    maps chord id (first-occurrence order) to a display name; it is excluded
-    from equality so diagrams compare by shape, not by how they were spelt.
+    ``pairing[s]`` is the slot sharing a chord with slot ``s``; the chord
+    count ``n`` is read from its length.  ``labels`` maps chord id
+    (first-occurrence order) to a display name, generated letters when
+    omitted.  Equality and hashing rest on the pairing alone, so diagrams
+    compare by shape, not by how they were spelt.  An odd number of slots
+    has no fixed-point-free involution, so the slot checks reject it.
     """
 
-    n: int
     pairing: tuple[int, ...]
     labels: tuple[str, ...] = field(default=(), compare=False)
+    n: int = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
-        m = 2 * self.n
+        m = len(self.pairing)
+        object.__setattr__(self, "n", m // 2)
         if self.n < 1:
             raise EmptyDiagramError("a diagram needs at least one chord")
-        if len(self.pairing) != m:
-            raise DiagramError(
-                f"pairing has {len(self.pairing)} entries, expected {m}"
-            )
         for s, t in enumerate(self.pairing):
             if not 0 <= t < m:
                 raise DiagramError(f"slot {s} pairs with out-of-range {t}")
@@ -146,7 +146,7 @@ class GaussDiagram:
                 pairing[f], pairing[s] = s, f
             else:
                 first[tok] = s
-        return cls(len(tokens) // 2, tuple(pairing), tuple(first))
+        return cls(tuple(pairing), tuple(first))
 
     def word(self) -> str:
         """Render the diagram as a word, one label per slot."""
@@ -194,7 +194,7 @@ def from_chord_pairs(pairs: Iterable[Sequence[int]]) -> GaussDiagram:
                 raise SlotPartitionError(f"slot {s} used by two chords")
         pairing[a], pairing[b] = b, a
     # n pairs of distinct, unused slots in 0..2n-1 cover every slot
-    return GaussDiagram(len(plist), tuple(pairing))
+    return GaussDiagram(tuple(pairing))
 
 
 def parse_chord_pairs(text: str) -> GaussDiagram:
@@ -395,7 +395,7 @@ def enumerate_diagrams(n: int) -> Iterator[GaussDiagram]:
                 _difference(seq, partner, opened, r, -1, r + 1, m) >= 0
                 for r in mirrors
             ):
-                yield GaussDiagram(n, tuple(partner))
+                yield GaussDiagram(tuple(partner))
             return
         new = len(first)
         can_open = new < n and m - t >= len(open_ids) + 2

@@ -99,7 +99,7 @@ def apply_flip(d: GaussDiagram, site: FlipSite) -> GaussDiagram:
         move[s] = t
     pairing = tuple(move[d.pairing[t]] for t in move)
     chords = dict.fromkeys(d.chord_of[t] for t in move)
-    return GaussDiagram(d.n, pairing, tuple(d.labels[c] for c in chords))
+    return GaussDiagram(pairing, tuple(d.labels[c] for c in chords))
 
 
 @dataclass(frozen=True)

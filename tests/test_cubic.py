@@ -36,11 +36,9 @@ from gaussflip.diagrams import (
 
 GOLDEN = Path(__file__).parent / "golden"
 
-K4 = CubicGraph.from_edges([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
-K33 = CubicGraph.from_edges(
-    [(a, b) for a in range(3) for b in range(3, 6)]
-)
-PETERSEN = CubicGraph.from_edges(
+K4 = CubicGraph([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+K33 = CubicGraph([(a, b) for a in range(3) for b in range(3, 6)])
+PETERSEN = CubicGraph(
     [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]
     + [(5, 7), (7, 9), (6, 9), (6, 8), (5, 8)]
     + [(0, 5), (1, 6), (2, 7), (3, 8), (4, 9)]
@@ -49,7 +47,7 @@ PETERSEN = CubicGraph.from_edges(
 
 def prism(k: int) -> CubicGraph:
     """Two k-cycles joined by k rungs."""
-    return CubicGraph.from_edges(
+    return CubicGraph(
         [(i, (i + 1) % k) for i in range(k)]
         + [(k + i, k + (i + 1) % k) for i in range(k)]
         + [(i, i + k) for i in range(k)]
@@ -57,13 +55,13 @@ def prism(k: int) -> CubicGraph:
 
 
 PRISM5 = prism(5)
-TRIPLE_EDGE = CubicGraph(2, ((0, 1), (0, 1), (0, 1)))
+TRIPLE_EDGE = CubicGraph(((0, 1), (0, 1), (0, 1)))
 
 
 def relabelled(rng: random.Random, g: CubicGraph) -> CubicGraph:
     perm = list(range(g.m))
     rng.shuffle(perm)
-    return CubicGraph.from_edges([(perm[u], perm[v]) for u, v in g.edges], g.m)
+    return CubicGraph([(perm[u], perm[v]) for u, v in g.edges])
 
 
 def carries_edges(g: CubicGraph, h: CubicGraph, witness: dict[int, int]) -> bool:
@@ -136,7 +134,7 @@ def matching_cycles(g: CubicGraph) -> set[HamCycle]:
                 break
             seq.append(v)
         if len(seq) == g.m:
-            found.add(HamCycle.from_sequence(seq))
+            found.add(HamCycle(seq))
 
     def extend() -> None:
         if all(matched):
@@ -198,7 +196,7 @@ def oracle_bipartite(g: CubicGraph) -> bool:
 class TestConstruction:
     def test_not_cubic_diagnostic(self):
         with pytest.raises(NotCubicError, match="vertex 3 has degree 4"):
-            CubicGraph.from_edges(
+            CubicGraph(
                 [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4), (4, 5), (4, 5)]
             )
 
@@ -209,21 +207,43 @@ class TestConstruction:
             match=r"vertex 1 has degree 2; vertex 2 has degree 0; "
             r"vertex 3 has degree 0; 999999999996 more not of degree 3$",
         ):
-            CubicGraph.from_edges([(0, 1), (0, 1), (0, 10**12 - 1)])
+            CubicGraph([(0, 1), (0, 1), (0, 10**12 - 1)])
 
     def test_direct_construction_normalizes_edges(self):
-        g = CubicGraph(4, ((3, 2), (1, 0), (2, 0), (3, 1), (1, 2), (0, 3)))
+        g = CubicGraph(((3, 2), (1, 0), (2, 0), (3, 1), (1, 2), (0, 3)))
         assert g == K4
         assert g.edges == ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
         assert g.neighbor_sets[0] == (1, 2, 3)
 
     def test_rejects_self_loop(self):
         with pytest.raises(NotCubicError, match="self-loop"):
-            CubicGraph.from_edges([(0, 0), (0, 1), (1, 1), (0, 1)])
+            CubicGraph([(0, 0), (0, 1), (1, 1), (0, 1)])
 
     def test_rejects_odd_order(self):
-        with pytest.raises(NotCubicError):
-            CubicGraph(3, ())
+        with pytest.raises(NotCubicError, match="3 vertices"):
+            CubicGraph([(0, 1), (1, 2), (0, 2)])
+
+    def test_rejects_no_edges(self):
+        with pytest.raises(NotCubicError, match="0 vertices"):
+            CubicGraph(())
+        with pytest.raises(GraphError, match="no edges"):
+            parse_edge_list("# nothing\n")
+
+    def test_rejects_negative_vertex(self):
+        shifted = [(u - 1, v - 1) for u, v in K4.edges]
+        with pytest.raises(GraphError, match=r"edge \(-1, 0\) has a negative vertex"):
+            CubicGraph(shifted)
+        with pytest.raises(GraphError, match="negative"):
+            parse_edge_list("0 -2\n0 1\n0 1\n1 -2\n")
+
+    def test_order_is_largest_vertex_plus_one(self):
+        assert K4.m == 4 and PETERSEN.m == 10 and TRIPLE_EDGE.m == 2
+        # every vertex below the largest must have degree 3
+        with pytest.raises(NotCubicError, match="vertex 0 has degree 0"):
+            CubicGraph([(u + 2, v + 2) for u, v in K4.edges])
+        gap = K4.edges + tuple((u + 6, v + 6) for u, v in K4.edges)
+        with pytest.raises(NotCubicError, match="vertex 4 has degree 0"):
+            CubicGraph(gap)
 
     def test_parse_edge_list(self):
         g = parse_edge_list("# a comment\n0 1\n0 1\n\n0 1\n")
@@ -260,25 +280,37 @@ class TestConstruction:
 
 class TestHamCycle:
     def test_canonical_storage(self):
-        h = HamCycle.from_sequence((3, 2, 1, 0))
+        h = HamCycle((3, 2, 1, 0))
         assert h.vertices == (0, 3, 2, 1) or h.vertices == (0, 1, 2, 3)
         # direction rule: second entry below last
         assert h.vertices[1] < h.vertices[-1]
 
     def test_rotation_and_direction_collapse(self):
         forms = {
-            HamCycle.from_sequence(seq)
+            HamCycle(seq)
             for seq in [(0, 1, 2, 3), (1, 2, 3, 0), (3, 2, 1, 0), (2, 1, 0, 3)]
         }
         assert len(forms) == 1
 
-    def test_rejects_noncanonical_direct_construction(self):
-        with pytest.raises(CycleMismatchError):
-            HamCycle((1, 2, 3, 0))
-        with pytest.raises(CycleMismatchError):
-            HamCycle((0, 3, 1, 2))  # wrong direction: 3 > 2
-        with pytest.raises(CycleMismatchError):
-            HamCycle((0, 1, 1, 2))
+    def test_every_rotation_and_reversal_normalizes(self):
+        for g in (moebius_ladder(5), TRIPLE_EDGE):
+            for h in hamiltonian_cycles(g):
+                vs = h.vertices
+                want = diagram_from_cycle(g, h)
+                for seq in (vs, vs[::-1]):
+                    for k in range(len(vs)):
+                        c = HamCycle(seq[k:] + seq[:k])
+                        assert c == h and c.vertices == vs, seq
+                        d = diagram_from_cycle(g, c)
+                        assert d == want and d.word() == want.word(), seq
+
+    def test_stores_a_tuple(self):
+        assert HamCycle([2, 0, 1]).vertices == (0, 1, 2)
+
+    def test_rejects_repeated_vertices(self):
+        for vs in [(0, 1, 1, 2), (1, 0, 1), (2, 2), (0,), ()]:
+            with pytest.raises(CycleMismatchError):
+                HamCycle(vs)
 
 
 class TestHamiltonianCycles:
@@ -366,13 +398,13 @@ class TestDiagramBridge:
 
     def test_zigzag_gives_span3_class(self):
         m5 = moebius_ladder(5)
-        h = HamCycle.from_sequence((0, 1, 6, 7, 2, 3, 8, 9, 4, 5))
+        h = HamCycle((0, 1, 6, 7, 2, 3, 8, 9, 4, 5))
         d = diagram_from_cycle(m5, h)
         assert canonical_form(d) == canonical_form(parse_word("AEBACBDCED"))
 
     def test_ladder_path_gives_mixed_class(self):
         m5 = moebius_ladder(5)
-        h = HamCycle.from_sequence((0, 1, 2, 3, 4, 9, 8, 7, 6, 5))
+        h = HamCycle((0, 1, 2, 3, 4, 9, 8, 7, 6, 5))
         d = diagram_from_cycle(m5, h)
         assert canonical_form(d) == canonical_form(parse_word("ACDECABDEB"))
 
@@ -517,7 +549,7 @@ class TestIsomorphismOracle:
         assert square.edges == ((0, 1), (0, 1), (0, 3), (1, 2), (2, 3), (2, 3))
         for perm in permutations(range(4)):
             edges = [(perm[u], perm[v]) for u, v in square.edges]
-            pairs.append((square, CubicGraph.from_edges(edges, 4)))
+            pairs.append((square, CubicGraph(edges)))
         for g, h in pairs:
             ok, witness = are_isomorphic(g, h)
             assert ok and carries_edges(g, h, witness), h.edges
@@ -531,7 +563,7 @@ class TestIsomorphismOracle:
             assert are_isomorphic(g, h) == (False, None), k
 
     def test_disconnected(self):
-        two_k4 = CubicGraph.from_edges(
+        two_k4 = CubicGraph(
             K4.edges + tuple((u + 4, v + 4) for u, v in K4.edges)
         )
         assert self.agrees(two_k4, relabelled(random.Random(1), two_k4))

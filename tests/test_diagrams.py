@@ -223,6 +223,36 @@ class TestParsing:
         assert parse_word("ABAB") == parse_word("XYXY")
         assert hash(parse_word("ABAB")) == hash(parse_word("XYXY"))
 
+    def test_chord_count_comes_from_the_pairing(self):
+        d = GaussDiagram((2, 3, 0, 1))
+        assert d.n == 2
+        assert d.labels == ("A", "B")
+        assert d == parse_word("ABAB")
+        assert GaussDiagram((2, 3, 0, 1), ("X", "Y")).word() == "XYXY"
+
+    @pytest.mark.parametrize(
+        "pairing",
+        [
+            (),  # no slots
+            (0,),  # one slot
+            (1, 0, 2),  # odd length: slot 2 can only pair with itself
+            (1, 2, 1),  # odd length: not an involution
+            (1, 0, 0),  # odd length: two slots claim slot 0
+            (3, 4, 5, 0, 1),  # odd length, out of range
+            (1, 0, 3),  # out of range
+            (1, 0, -1, 2),  # negative slot
+        ],
+    )
+    def test_malformed_pairings_raise_diagram_errors(self, pairing):
+        with pytest.raises(DiagramError):
+            GaussDiagram(pairing)
+
+    def test_label_count_and_distinctness(self):
+        with pytest.raises(DiagramError, match="1 labels for 2 chords"):
+            GaussDiagram((2, 3, 0, 1), ("A",))
+        with pytest.raises(DiagramError, match="distinct"):
+            GaussDiagram((2, 3, 0, 1), ("A", "A"))
+
 
 class TestSymmetries:
     def test_canonical_examples(self):
@@ -255,7 +285,7 @@ class TestSymmetries:
 
     def test_canonical_form_matches_orbit_oracle(self):
         cases = [
-            GaussDiagram(n, p) for n in range(1, 6) for p in brute_pairings(2 * n)
+            GaussDiagram(p) for n in range(1, 6) for p in brute_pairings(2 * n)
         ]
         rng = random.Random(20261018)
         cases += [random_diagram(rng, rng.randint(6, 14)) for _ in range(300)]
@@ -278,7 +308,7 @@ class TestSymmetries:
                         for i in range(m)
                     )
                 ]
-                assert _symmetries(GaussDiagram(n, p)) == direct, p
+                assert _symmetries(GaussDiagram(p)) == direct, p
 
     def test_labels_above_26_chords_carry_a_suffix(self):
         tokens = [f"c{i}" for i in range(27)]
@@ -324,7 +354,7 @@ class TestInterlacement:
     def test_against_alternation_oracle(self):
         for n in range(1, 5):
             for p in brute_pairings(2 * n):
-                d = GaussDiagram(n, p)
+                d = GaussDiagram(p)
                 g = interlacement_graph(d)
                 want_edges = []
                 for i in range(n):

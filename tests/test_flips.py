@@ -288,8 +288,11 @@ class TestTheoremSweep:
         assert report.ok()
 
     def test_workers_match_serial(self):
-        serial = verify_flip_theorem(3)
-        parallel = verify_flip_theorem(3, workers=2)
+        # 104 classes go out in chunks of 16, so the pool must put 7
+        # chunks back in order
+        serial = verify_flip_theorem(5)
+        parallel = verify_flip_theorem(5, workers=2)
+        assert serial.diagrams_checked == 104
         assert serial == parallel
 
     def test_workers_capped_at_cpu_count(self, monkeypatch):
