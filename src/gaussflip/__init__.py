@@ -4,11 +4,12 @@ A Gauss diagram records the self-crossing pattern of a closed curve; the
 same data is a cubic graph with a marked Hamiltonian cycle.  This package
 parses and canonicalizes diagrams, moves between the diagram and graph
 views, decides which diagrams are actually drawable as plane curves (by
-three independent routes: Rosenstiehl's interlacement criterion, the
-planarity of a crossing gadget, and exhaustive face tracing behind
-``min_genus``, which is also the test oracle), names the resulting curves
-canonically, and implements the flip move together with an exhaustive
-check that flips preserve realizability.
+three independent routes: one traced key of a spanning-forest colouring
+of the interlacement graph, the planarity of a crossing gadget, and
+exhaustive face tracing behind ``min_genus``; Rosenstiehl's criterion is
+a test oracle), names the resulting curves canonically, and implements
+the flip move together with an exhaustive check that flips preserve
+realizability.
 """
 
 from .cubic import (

@@ -53,8 +53,8 @@ from .diagrams import (
 from .flips import FlipError, apply_flip, flip_orbit, flip_sites, verify_flip_theorem
 from .realize import (
     RealizeError,
-    _cut_colouring,
     _one_per_curve,
+    _plane_colouring,
     curve_code,
     gadget_planarity,
     is_realizable,
@@ -131,7 +131,7 @@ def analysis_record(d: GaussDiagram, raw: str) -> dict:
     with a ``RealizeError`` before the walk starts.
     """
     inter = interlacement_graph(d)
-    solved = _cut_colouring(d)  # None, or a colouring and the components
+    solved = _plane_colouring(d)  # None, or a colouring and the components
     if solved is not None and len(solved[1]) > ANALYZE_MAX_COMPONENTS:
         raise RealizeError(
             f"analyze traces and codes all 2^k plane embeddings; {len(solved[1])}"

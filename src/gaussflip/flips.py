@@ -167,7 +167,7 @@ class FlipTheoremReport:
     diagrams_checked: int
     sites_checked: int
     counterexamples: tuple[FlipCounterexample, ...]
-    oracle_mismatches: tuple[str, ...] = ()  # classes where gadget != criterion
+    oracle_mismatches: tuple[str, ...] = ()  # classes where gadget != decision
 
     def ok(self) -> bool:
         """True when no flip changed realizability and the oracles agreed."""

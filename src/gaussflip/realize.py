@@ -3,10 +3,9 @@
 A diagram is realizable when some closed curve on the sphere crosses
 itself exactly as the diagram prescribes.
 
-Decision procedure.  Rosenstiehl's criterion (C. R. Acad. Sci. Paris 283,
-1976; de Fraysseix and Ossona de Mendez, Discrete Comput. Geom. 22, 1999)
-reads the verdict off the interlacement graph.  A diagram is realizable
-exactly when
+Rosenstiehl's criterion (C. R. Acad. Sci. Paris 283, 1976; de Fraysseix
+and Ossona de Mendez, Discrete Comput. Geom. 22, 1999) reads the verdict
+off the interlacement graph.  A diagram is realizable exactly when
 
 1. every chord interlaces an even number of chords;
 2. every two chords that do not interlace share an even number of
@@ -14,9 +13,6 @@ exactly when
 3. the interlaced pairs sharing an even number of neighbours form a cut:
    the chords take colours 0 and 1 so that interlaced chords u and v
    differ exactly when they share an even number of neighbours.
-
-On bitmask rows of the interlacement graph this costs O(n^2) word
-operations.
 
 Colourings are embeddings.  At each crossing the two strands can meet
 transversally in two ways (bit 0 or 1 below), so a diagram with n chords
@@ -28,11 +24,19 @@ realizable diagram with k components has 2^k plane embeddings, and
 ``realize_all`` traces only those.  The tests check this identity against
 exhaustive tracing on every class up to 6 chords.
 
-Face tracing.  Each candidate is a combinatorial map whose faces can be
-traced; it lies on the sphere exactly when Euler's relation gives genus
-zero, i.e. when tracing yields n + 2 faces.  The walk over all 2^n
-candidates remains for the least genus of an unrealizable diagram
-(``min_genus``) and as the oracle the criterion is tested against.
+Decision procedure (``_plane_colouring``).  Reject on condition 1.
+Colour each component of the interlacement graph along a spanning
+forest, its least chord 0, by condition 3's rule on the tree edges only;
+read the key as above and trace its faces once.  The diagram is
+realizable exactly when the trace gives n + 2 faces, genus 0 by Euler's
+relation.  Proof: a genus-0 key is a plane embedding.  Conversely, the
+criterion gives a realizable diagram a cut colouring c*.  Tree edges join
+interlaced pairs, so c* obeys every tree rule, and on each component the
+forest colouring is c* or its complement, again a cut colouring, whose
+key is planar.  This costs O(n^2 / w) operations on w-bit words of the
+bitmask rows, plus one trace of 4n darts.  The criterion, condition by
+condition, is the test oracle; so is the walk over all 2^n keys that
+``min_genus`` keeps for the least genus of an unrealizable diagram.
 
 Dart bookkeeping.  The curve visits slots 0..2n-1 in order, so there are
 2n arcs (arc a runs slot a -> slot a+1) and 4n darts: dart 2a is arc a
@@ -49,22 +53,19 @@ next-face-dart rule: after arriving on dart d, leave on the rotation
 successor of the reversed dart.
 
 Curve codes.  ``curve_code`` names the plane curve an embedding draws,
-up to homeomorphisms of the sphere.  A symmetry g of the diagram (a
-rotation or reflection of the circle that maps chords onto chords) acts
-on keys: bit i, for chord i at slots u < v, moves to the chord at slot
-g(u), and flips when g(u) > g(v).  g.k and the complement of g.k draw
-the same curve as k, so ``_one_per_curve`` picks the least key of each
-orbit and ``analyze`` codes only those.  On every realizable class up to
-8 chords the orbits number exactly the distinct codes, so each curve is
-coded once.
+up to homeomorphisms of the sphere.  The diagram's symmetries and the
+mirror act on keys without changing the curve, so ``_one_per_curve``
+picks the least key of each orbit and ``analyze`` codes only those.  On
+every realizable class up to 8 chords the orbits number exactly the
+distinct codes, so each curve is coded once.
 
 A third, independent route to the verdict replaces every crossing by a
 small square gadget whose corner order forces transversality; the
 diagram is realizable exactly when the resulting ordinary graph is planar.
 Its planarity is decided by the left-right test of ``planarity``, which
-stays independent of Rosenstiehl's criterion: it sees only an ordinary
+stays independent of the forest decision: it sees only an ordinary
 graph, never chords or interlacement, shares no code with
-``_cut_colouring``, and is itself checked against networkx in the tests.
+``_plane_colouring``, and is itself checked against networkx in the tests.
 """
 
 from __future__ import annotations
@@ -107,12 +108,10 @@ def _rotation_successors(d: GaussDiagram, key: int) -> list[int]:
         in_v = 2 * ((v - 1) % m) + 1
         out_u = 2 * u
         out_v = 2 * v
-        if key >> cid & 1:
-            order = (in_u, out_v, out_u, in_v)
-        else:
-            order = (in_u, in_v, out_u, out_v)
-        for a, b in zip(order, order[1:] + order[:1]):
-            succ[a] = b
+        if key >> cid & 1:  # the cycle in(u), out(v), out(u), in(v)
+            succ[in_u], succ[out_v], succ[out_u], succ[in_v] = out_v, out_u, in_v, in_u
+        else:  # the cycle in(u), in(v), out(u), out(v)
+            succ[in_u], succ[in_v], succ[out_u], succ[out_v] = in_v, out_u, out_v, in_u
     return succ
 
 
@@ -183,65 +182,61 @@ def trace_faces(d: GaussDiagram, key: int) -> EmbeddingReport:
     return EmbeddingReport(d, key, tuple(faces), euler_defect // 2)
 
 
-def _cut_colouring(d: GaussDiagram) -> tuple[int, list[int]] | None:
-    """Rosenstiehl's criterion: ``None``, or a cut colouring and the components.
+def _key_of(d: GaussDiagram, colour: int) -> int:
+    """The rotation key of a colouring: c_i XOR the parity of chord i's first slot."""
+    return colour ^ sum((u & 1) << i for i, (u, _) in enumerate(d.chord_slots))
 
-    The colouring is a bitmask (bit i is chord i's colour, 0 on the least
-    chord of each component); each component is a bitmask of its chords.
+
+def _plane_colouring(d: GaussDiagram) -> tuple[int, list[int]] | None:
+    """The decision: ``None``, or the forest's cut colouring and the components.
+
+    Bit i of the colouring is chord i's colour, 0 on the least chord of
+    each component; each component is a bitmask of its chords.
     """
     masks = d.interlacement_masks
-    n = d.n
     if any(mask.bit_count() & 1 for mask in masks):
         return None
-    for u in range(n):
-        for v in range(u + 1, n):
-            if not masks[u] >> v & 1 and (masks[u] & masks[v]).bit_count() & 1:
-                return None
     colour = seen = 0
     components: list[int] = []
-    for root in range(n):
+    for root in range(d.n):
         if seen >> root & 1:
             continue
+        before = seen
         seen |= 1 << root
-        component = 0
         stack = [root]
         while stack:
             u = stack.pop()
-            component |= 1 << u
-            for v in range(n):
-                if not masks[u] >> v & 1:
-                    continue
+            fresh = masks[u] & ~seen
+            seen |= fresh
+            while fresh:
+                v = (fresh & -fresh).bit_length() - 1
+                fresh ^= 1 << v
                 # u and v differ exactly when they share evenly many neighbours
-                want = (colour >> u ^ 1 ^ (masks[u] & masks[v]).bit_count()) & 1
-                if seen >> v & 1:
-                    if colour >> v & 1 != want:
-                        return None
-                else:
-                    seen |= 1 << v
-                    colour |= want << v
-                    stack.append(v)
-        components.append(component)
+                bit = colour >> u ^ 1 ^ (masks[u] & masks[v]).bit_count()
+                colour |= (bit & 1) << v
+                stack.append(v)
+        components.append(seen ^ before)
+    if _face_count(_rotation_successors(d, _key_of(d, colour))) != d.n + 2:
+        return None
     return colour, components
 
 
 def realize_all(d: GaussDiagram) -> list[EmbeddingReport]:
     """Every genus-zero embedding, in rotation-system order.
 
-    Only the 2^k systems of the cut colourings are traced, k the number of
-    components of the interlacement graph; each must trace to genus 0.
+    Traces only the forest colouring's key XOR each set of whole
+    components: 2^k keys for k interlacement components, each of genus 0.
     A key and its mirror (every bit flipped) are both traced, not one
     derived from the other: the caller gets every plane embedding with its
     own faces (the README shows rotations [10, 21]), and derived faces
     would need a second face routine with its own tests, to save about
     0.06 s per traced ``analyze`` round.
     """
-    solved = _cut_colouring(d)
+    solved = _plane_colouring(d)
     if solved is None:
         return []
     colour, components = solved
-    for i, (first, _) in enumerate(d.chord_slots):
-        colour ^= (first & 1) << i
-    keys = [colour]
+    keys = [_key_of(d, colour)]
     for component in components:
         keys += [k ^ component for k in keys]
     reports = []
@@ -249,7 +244,7 @@ def realize_all(d: GaussDiagram) -> list[EmbeddingReport]:
         report = trace_faces(d, key)
         if report.genus:
             raise AssertionError(
-                f"rotation {key} from a cut colouring of {d.word()}"
+                f"rotation {key} from the forest colouring of {d.word()}"
                 f" has genus {report.genus}"
             )
         reports.append(report)
@@ -269,8 +264,8 @@ def min_genus(d: GaussDiagram) -> int:
 
 
 def is_realizable(d: GaussDiagram) -> bool:
-    """Rosenstiehl's criterion: True when a cut colouring exists."""
-    return _cut_colouring(d) is not None
+    """True when the forest colouring's key traces to genus 0."""
+    return _plane_colouring(d) is not None
 
 
 @lru_cache(maxsize=None)
@@ -320,9 +315,9 @@ def gadget_planarity(d: GaussDiagram) -> bool:
 
     The graph, with in(s) = 2s and out(s) = 2s + 1, goes to the
     left-right test ``planarity.is_planar``.  That test sees only an
-    ordinary graph, shares no code with ``_cut_colouring``, and is checked
-    against networkx's ``check_planarity`` in the tests, so this verdict
-    stays independent of Rosenstiehl's criterion.
+    ordinary graph, shares no code with ``_plane_colouring``, and is
+    checked against networkx's ``check_planarity`` in the tests, so this
+    verdict stays independent of the forest decision.
     """
     m = 2 * d.n
     edges = [(2 * s + 1, 2 * ((s + 1) % m)) for s in range(m)]

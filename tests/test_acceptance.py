@@ -123,7 +123,7 @@ def test_05_flip_theorem_sweep_six_chords():
 
 def test_06_oracles_agree_up_to_six_chords():
     with criterion(
-        "the interlacement criterion and gadget planarity agree"
+        "the interlacement-forest decision and gadget planarity agree"
         " on every class up to 6 chords"
     ):
         for n in range(1, 7):

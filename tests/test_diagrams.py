@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from collections.abc import Sequence
 
@@ -33,9 +34,35 @@ WORD_DIAMETERS = "ADBECADBEC"  # five diameters; realizable
 WORD_MIXED_SPANS = "ACDECABDEB"  # realizable, different curve
 
 # Class counts for n = 1..7 under rotation+reflection (OEIS A007769).
-# Confirmed by the brute-force orbit count below up to n = 5 and, for
-# n = 4, by a hand Burnside count.
+# Confirmed by the brute-force orbit count below up to n = 5 and by
+# ``burnside_class_count`` up to n = 7.
 CLASS_COUNTS = (1, 2, 5, 17, 79, 554, 5283)
+
+
+def burnside_class_count(n: int) -> int:
+    """Chord diagrams on 2n points up to rotation and reflection, by Burnside.
+
+    A pairing fixed by a circle map g commutes with it, so it sends each
+    orbit of g onto an orbit of the same length L: onto itself by the
+    shift by L/2 (L even), or onto another orbit in L ways.  With c orbits
+    of length L that gives f(c) = [L even] f(c - 1) + (c - 1) L f(c - 2).
+    Averaging the fixed pairings over the 2n rotations and 2n reflections
+    counts the classes (Cori and Marcus, Theor. Comput. Sci. 204, 1998).
+    """
+
+    def fixed(c: int, length: int) -> int:
+        prev, cur = 0, 1  # f(-1), f(0)
+        for k in range(1, c + 1):
+            prev, cur = cur, (length % 2 == 0) * cur + (k - 1) * length * prev
+        return cur
+
+    m = 2 * n
+    rotations = sum(fixed(math.gcd(r, m), m // math.gcd(r, m)) for r in range(m))
+    # n reflections fix two points, which must pair up, and n fix none
+    reflections = n * (fixed(n - 1, 2) + fixed(n, 2))
+    total, rest = divmod(rotations + reflections, 2 * m)
+    assert rest == 0
+    return total
 
 
 def brute_pairings(m: int) -> list[tuple[int, ...]]:
@@ -397,6 +424,12 @@ class TestEnumeration:
     def test_class_counts(self):
         got = tuple(len(canonical_words(n)) for n in range(1, 8))
         assert got == CLASS_COUNTS
+        assert got == tuple(burnside_class_count(n) for n in range(1, 8))
+
+    def test_burnside_counts(self):
+        # the enumerator has reached every one of these; CI checks 65,346
+        got = tuple(burnside_class_count(n) for n in range(1, 10))
+        assert got == CLASS_COUNTS + (65346, 966156)
 
     def test_matches_filtered_reference(self):
         # same classes in the same order as filtering every pairing

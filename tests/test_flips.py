@@ -295,6 +295,18 @@ class TestTheoremSweep:
         assert serial.diagrams_checked == 104
         assert serial == parallel
 
+    def test_workers_keep_sweep_order(self, monkeypatch):
+        # two classes in different chunks of 16 disagree with the decision;
+        # fork workers inherit the patch, and without it the list is empty
+        words = [w for n in range(1, 6) for w in canonical_words(n)]
+        chosen = (words[2], words[89])
+        monkeypatch.setattr(
+            flips,
+            "gadget_planarity",
+            lambda d: is_realizable(d) != (d.word() in chosen),
+        )
+        assert verify_flip_theorem(5, workers=2).oracle_mismatches == chosen
+
     def test_workers_capped_at_cpu_count(self, monkeypatch):
         # the pool starts every worker up front, so a recorder stands in for it
         pools = []

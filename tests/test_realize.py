@@ -168,7 +168,7 @@ class TestVerdicts:
         assert got == REALIZABLE_COUNTS
 
     def test_three_derivations_agree_up_to_six(self):
-        # the criterion, exhaustive face tracing and the gadget's planarity
+        # the forest decision, exhaustive face tracing and the gadget's planarity
         for n in range(1, 7):
             for word in canonical_words(n):
                 d = parse_word(word)
