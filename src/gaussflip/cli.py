@@ -55,11 +55,11 @@ from .realize import (
     RealizeError,
     _one_per_curve,
     _plane_colouring,
+    _plane_embeddings,
     curve_code,
     gadget_planarity,
     is_realizable,
     min_genus,
-    realize_all,
 )
 
 # `enumerate --chords 8 --json` takes 2.2-2.3 s on a 2-core host with
@@ -138,8 +138,8 @@ def analysis_record(d: GaussDiagram, raw: str) -> dict:
             f" interlacement components exceed the limit of {ANALYZE_MAX_COMPONENTS}"
             " (use 'gaussflip check' for the verdict alone)"
         )
-    reports = realize_all(d)
-    realizable = bool(reports)  # a realizable diagram has 2^k >= 2 embeddings
+    reports = _plane_embeddings(d, solved)
+    realizable = solved is not None
     if not realizable and d.n > ANALYZE_MAX_UNREALIZABLE:
         raise RealizeError(
             f"analyze traces all 2^n rotation systems of an unrealizable diagram;"

@@ -96,20 +96,17 @@ class GaussDiagram:
 
     @cached_property
     def chord_of(self) -> tuple[int, ...]:
-        """Chord id occupying each slot, ids assigned by first occurrence."""
-        ids = [-1] * (2 * self.n)
-        nxt = 0
-        for s in range(2 * self.n):
-            if ids[s] < 0:
-                ids[s] = ids[self.pairing[s]] = nxt
-                nxt += 1
+        """Chord id occupying each slot: its index in ``chord_slots``."""
+        ids = [0] * (2 * self.n)
+        for cid, (u, v) in enumerate(self.chord_slots):
+            ids[u] = ids[v] = cid
         return tuple(ids)
 
     @cached_property
     def chord_slots(self) -> tuple[tuple[int, int], ...]:
         """Per chord id, its two slots in increasing order.
 
-        Ids follow first occurrence, so first ends come in id order.
+        Chords are listed by first end, so ids follow first occurrence.
         """
         return tuple((s, t) for s, t in enumerate(self.pairing) if s < t)
 
@@ -118,13 +115,17 @@ class GaussDiagram:
         """Per chord id, a bitmask of the chords it interlaces.
 
         Bit j of entry i is set when chord j has exactly one endpoint
-        strictly inside chord i's arc (u, v).  ``inside[s]`` XORs one bit
-        per slot before s, so a chord with both ends inside cancels out.
+        strictly inside chord i's arc (u, v).  ``inside`` XORs one bit per
+        slot read so far, so a chord with both ends inside cancels out.
+        Row i takes ``inside`` at u and again at v: their XOR is the slots
+        u..v-1, and the row's own starting bit cancels chord i at slot u.
         """
-        inside = [0]
+        rows = [1 << i for i in range(self.n)]
+        inside = 0
         for cid in self.chord_of:
-            inside.append(inside[-1] ^ (1 << cid))
-        return tuple(inside[v] ^ inside[u + 1] for u, v in self.chord_slots)
+            rows[cid] ^= inside
+            inside ^= 1 << cid
+        return tuple(rows)
 
     @classmethod
     def from_tokens(cls, tokens: Sequence[str]) -> GaussDiagram:
@@ -256,22 +257,28 @@ def _difference(
 def _symmetries(d: GaussDiagram) -> list[tuple[int, int]]:
     """The reads ``(start, step)`` whose circle map keeps ``d``'s pairing.
 
-    The read's map is g(i) = (start + step * i) % 2n.  It ties with the
-    word ``d.chord_of`` over every index exactly when it relabels to the
-    same word, i.e. when p[g(i)] == g(p[i]) for every slot i: g is a
-    rotation or reflection of the circle that maps chords onto chords.
-    The identity read (0, 1) is always among them.
+    The read's map is g(i) = (start + step * i) % 2n, a rotation or
+    reflection of the circle; it is a symmetry when it maps chords onto
+    chords, p[g(i)] == g(p[i]) for every slot i.  The identity read (0, 1)
+    is always among them.
+
+    Read it off the gap sequence gap[s] = (p[s] - s) % 2n, all mod 2n.
+    For the rotation g(i) = r + i the condition is p[r + i] = r + p[i],
+    that is p[r + i] - (r + i) = p[i] - i: gap[r + i] = gap[i], so the
+    gaps turned by r equal the gaps.  For the reflection g(i) = r - i it
+    is p[r - i] = r - p[i], that is p[r - i] - (r - i) = -(p[i] - i):
+    gap[r - i] = -gap[i].  Put i = -k: gap[r + k] = -gap[-k], so the gaps
+    turned by r equal the gaps read backwards from slot 0 and negated.
     """
     p = d.pairing
-    opened = [0]
-    for s, t in enumerate(p):
-        opened.append(opened[s] + (t > s))
     m = len(p)
+    gaps = [(t - s) % m for s, t in enumerate(p)]
+    back = [-gaps[-k] % m for k in range(m)]
     return [
         (start, step)
         for start in range(m)
-        for step in (1, -1)
-        if _difference(d.chord_of, p, opened, start, step, 0, m) == 0
+        for step, want in ((1, gaps), (-1, back))
+        if gaps[start:] + gaps[:start] == want
     ]
 
 
@@ -342,10 +349,15 @@ def interlacement_graph(d: GaussDiagram) -> InterlacementGraph:
 def parity_check(d: GaussDiagram) -> bool:
     """True when every chord joins an even slot to an odd slot.
 
-    Equivalent formulations: every vertex of the interlacement graph has
-    even degree, and the chord-and-cycle graph built from the diagram is
-    bipartite.  Realizable diagrams always pass; the converse fails (the
-    smallest failures have five chords).
+    Equivalently, every vertex of the interlacement graph has even degree:
+    chord (u, v) has v - u - 1 slots strictly inside it, holding two ends
+    of each chord that lies wholly inside and one end of each chord it
+    interlaces.  So it interlaces an even number of chords exactly when
+    v - u - 1 is even, that is when u + v is odd.  The chord-and-cycle
+    graph built from the diagram is then bipartite too.  This is
+    condition 1 of Rosenstiehl's criterion and the first step of the
+    realizability decision.  Realizable diagrams always pass; the converse
+    fails (the smallest failures have five chords).
     """
     return all((u + v) % 2 == 1 for u, v in d.chord_slots)
 

@@ -24,13 +24,15 @@ realizable diagram with k components has 2^k plane embeddings, and
 ``realize_all`` traces only those.  The tests check this identity against
 exhaustive tracing on every class up to 6 chords.
 
-Decision procedure (``_plane_colouring``).  Reject on condition 1.
-Colour each component of the interlacement graph along a spanning
-forest, its least chord 0, by condition 3's rule on the tree edges only;
-read the key as above and trace its faces once.  The diagram is
-realizable exactly when the trace gives n + 2 faces, genus 0 by Euler's
-relation.  Proof: a genus-0 key is a plane embedding.  Conversely, the
-criterion gives a realizable diagram a cut colouring c*.  Tree edges join
+Decision procedure (``_plane_colouring``).  Reject on condition 1, read
+as slot parity: ``parity_check`` asks that every chord join an even slot
+to an odd one, which its docstring shows is the same condition.  Colour
+each component of the interlacement graph along a spanning forest, its
+least chord 0, by condition 3's rule on the tree edges only; read the
+key as above and trace its faces once.  The diagram is realizable
+exactly when the trace gives n + 2 faces, genus 0 by Euler's relation.
+Proof: a genus-0 key is a plane embedding.  Conversely, the criterion
+gives a realizable diagram a cut colouring c*.  Tree edges join
 interlaced pairs, so c* obeys every tree rule, and on each component the
 forest colouring is c* or its complement, again a cut colouring, whose
 key is planar.  This costs O(n^2 / w) operations on w-bit words of the
@@ -74,7 +76,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .diagrams import GaussDiagram, _symmetries, parse_word
+from .diagrams import GaussDiagram, _symmetries, parity_check, parse_word
 from .planarity import is_planar
 
 
@@ -84,6 +86,10 @@ class RealizeError(ValueError):
 
 class NotAPlaneCurveError(RealizeError):
     """Raised when a sphere-only operation meets a positive-genus embedding."""
+
+
+# the decision's answer: None, or the forest's colouring and the components
+_Decision = tuple[int, list[int]] | None
 
 
 def transverse_rotation_systems(d: GaussDiagram) -> Iterator[int]:
@@ -187,15 +193,17 @@ def _key_of(d: GaussDiagram, colour: int) -> int:
     return colour ^ sum((u & 1) << i for i, (u, _) in enumerate(d.chord_slots))
 
 
-def _plane_colouring(d: GaussDiagram) -> tuple[int, list[int]] | None:
+def _plane_colouring(d: GaussDiagram) -> _Decision:
     """The decision: ``None``, or the forest's cut colouring and the components.
 
     Bit i of the colouring is chord i's colour, 0 on the least chord of
-    each component; each component is a bitmask of its chords.
+    each component; each component is a bitmask of its chords.  Parity
+    rejects first, so a diagram that fails it never builds its
+    interlacement rows.
     """
-    masks = d.interlacement_masks
-    if any(mask.bit_count() & 1 for mask in masks):
+    if not parity_check(d):
         return None
+    masks = d.interlacement_masks
     colour = seen = 0
     components: list[int] = []
     for root in range(d.n):
@@ -232,7 +240,11 @@ def realize_all(d: GaussDiagram) -> list[EmbeddingReport]:
     would need a second face routine with its own tests, to save about
     0.06 s per traced ``analyze`` round.
     """
-    solved = _plane_colouring(d)
+    return _plane_embeddings(d, _plane_colouring(d))
+
+
+def _plane_embeddings(d: GaussDiagram, solved: _Decision) -> list[EmbeddingReport]:
+    """``realize_all`` from a decision already made: ``_plane_colouring(d)``."""
     if solved is None:
         return []
     colour, components = solved

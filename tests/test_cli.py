@@ -170,6 +170,21 @@ class TestAnalyze:
         assert counts == {"walks": 0, "systems": 0, "traces": 2}
         assert record["realizations"] == 2
 
+    def test_one_decision_per_record(self, monkeypatch):
+        calls = []
+        decide = realize._plane_colouring
+
+        def counted(d):
+            calls.append(d.word())
+            return decide(d)
+
+        monkeypatch.setattr(realize, "_plane_colouring", counted)
+        monkeypatch.setattr(cli, "_plane_colouring", counted)
+        for word in ("ADBECADBEC", "ACDECABDEB", "AEBACBDCED", "AABBCC"):
+            calls.clear()
+            cli.analysis_record(parse_word(word), word)
+            assert calls == [word]
+
     def test_one_curve_code_per_curve(self):
         for word, embeddings, curves in (
             ("ADBECADBEC", 2, 1),

@@ -150,6 +150,12 @@ def test_fixture_colourings():
     assert cut_colouring(parse_word("AEBACBDCED")) is None
 
 
+def test_parity_rejects_before_the_rows_are_built():
+    d = parse_word("ABAB")
+    assert not is_realizable(d)
+    assert "interlacement_masks" not in d.__dict__
+
+
 @pytest.mark.parametrize("k", [2000, 2001])
 def test_rosettes(k):
     # k odd: every chord interlaces k - 1 others, an even number

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import math
 import random
-from collections.abc import Sequence
+import sys
+import tracemalloc
+from collections.abc import Iterable, Sequence
 
 import pytest
 
@@ -183,6 +185,30 @@ def oracle_interlaced(p1: tuple[int, int], p2: tuple[int, int]) -> bool:
     return tags[0] == tags[2] and tags[1] == tags[3]
 
 
+def assert_symmetries_match(cases: Iterable[GaussDiagram]) -> int:
+    """``_symmetries`` against the direct test p[g(i)] == g(p[i]).
+
+    Returns how many diagrams were compared; CI runs it on every class up
+    to 8 chords.
+    """
+    compared = 0
+    for d in cases:
+        p = d.pairing
+        m = len(p)
+        direct = [
+            (start, step)
+            for start in range(m)
+            for step in (1, -1)
+            if all(
+                p[(start + step * i) % m] == (start + step * p[i]) % m
+                for i in range(m)
+            )
+        ]
+        assert _symmetries(d) == direct, p
+        compared += 1
+    return compared
+
+
 class TestParsing:
     def test_word_pairing(self):
         d = parse_word("ABAB")
@@ -323,19 +349,13 @@ class TestSymmetries:
 
     def test_symmetry_reads_match_the_pairing_test(self):
         # a read is a symmetry exactly when its circle map keeps the pairing
-        for n in range(1, 6):
-            m = 2 * n
-            for p in brute_pairings(m):
-                direct = [
-                    (start, step)
-                    for start in range(m)
-                    for step in (1, -1)
-                    if all(
-                        p[(start + step * i) % m] == (start + step * p[i]) % m
-                        for i in range(m)
-                    )
-                ]
-                assert _symmetries(GaussDiagram(p)) == direct, p
+        every = (GaussDiagram(p) for n in range(1, 7) for p in brute_pairings(2 * n))
+        assert assert_symmetries_match(every) == 11464
+        for k in (501, 1001):
+            # R_k = 1 2 ... k 1 2 ... k: every read is a symmetry
+            m = 2 * k
+            rosette = GaussDiagram(tuple((s + k) % m for s in range(m)))
+            assert len(_symmetries(rosette)) == 4 * k
 
     def test_labels_above_26_chords_carry_a_suffix(self):
         tokens = [f"c{i}" for i in range(27)]
@@ -396,6 +416,20 @@ class TestInterlacement:
                 assert g.degrees == tuple(
                     sum(v in e for e in want_edges) for v in d.labels
                 )
+
+    def test_rows_need_no_prefix_list(self):
+        # R_4001: 4,001 rows of about 500 bytes; the build holds little more
+        k = 4001
+        d = GaussDiagram(tuple((s + k) % (2 * k) for s in range(2 * k)))
+        d.chord_of  # built before tracing, so only the rows are measured
+        tracemalloc.start()
+        try:
+            rows = d.interlacement_masks
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows == tuple(((1 << k) - 1) ^ (1 << i) for i in range(k))
+        assert peak <= 1.2 * (sys.getsizeof(rows) + sum(map(sys.getsizeof, rows)))
 
     def test_dot_output(self):
         dot = interlacement_graph(parse_word("ABAB")).to_dot()
