@@ -294,6 +294,12 @@ def canonical_form(d: GaussDiagram) -> str:
     by ``_difference``, and is spelt out only when it reads smaller, by the
     same rule: a slot whose other end was read earlier repeats that label,
     and any other slot opens the next one.
+
+    A read that ties with the least so far is compared to its end, so a
+    symmetric or near-symmetric word, whose reads share long prefixes,
+    costs O(n^2) steps.  Ordering the gap sequences by a least-rotation
+    method instead would pick a different representative, so the canonical
+    words would change.
     """
     p = d.pairing
     m = len(p)

@@ -57,9 +57,13 @@ successor of the reversed dart.
 Curve codes.  ``curve_code`` names the plane curve an embedding draws,
 up to homeomorphisms of the sphere.  The diagram's symmetries and the
 mirror act on keys without changing the curve, so ``_one_per_curve``
-picks the least key of each orbit and ``analyze`` codes only those.  On
-every realizable class up to 8 chords the orbits number exactly the
-distinct codes, so each curve is coded once.
+picks the least key of each orbit and ``analyze`` codes only those.
+Keys act as slot strings: a key's 2n-bit string holds each chord's bit
+at its first slot and the complement at its second, and a symmetry acts
+on it by one turn of the string (reflections reverse it first), so the
+orbit of a key costs O(n / w) word operations per symmetry.  On every
+realizable class up to 8 chords the orbits number exactly the distinct
+codes, so each curve is coded once.
 
 A third, independent route to the verdict replaces every crossing by a
 small square gadget whose corner order forces transversality; the
@@ -414,10 +418,15 @@ def _one_per_curve(
     ``reports`` come in ascending key order, as ``realize_all`` gives them.
     A report whose key is not yet seen is yielded, and then its whole orbit
     is marked seen: for every symmetry g of d (``_symmetries``), the image
-    key g.k and its complement.  Bit i of g.k, for chord i at slots u < v,
-    is bit i of k moved to the chord at slot g(u), flipped when g(u) > g(v).
-    Every key of an orbit has the same ``curve_code``, so the least key of
-    each orbit stands for all of them.
+    key g.k and its complement.  Every key of an orbit has the same
+    ``curve_code``, so the least key of each orbit stands for all of them.
+
+    Keys act as slot strings.  The slot string t(k) of key k has 2n bits:
+    for chord i at slots u < v, bit u is bit i of k and bit v its
+    complement.  Read from either end x of a chord, with y the other end,
+    bit x says which cyclic order the crossing has: in(x), in(y), out(x),
+    out(y) when it is 0, in(x), out(y), out(x), in(y) when it is 1.  That
+    description does not depend on which end is read first.
 
     Proof.  g relabels the darts, and the relabelling commutes with
     ``dart ^ 1``.  A rotation g(s) = s + r sends arc a to arc a + r, same
@@ -427,37 +436,35 @@ def _one_per_curve(
     2(r - a - 1) + 1 and dart 2a + 1 to 2(r - a - 1).  Either way the two
     darts of an arc go to the two darts of one arc.  The relabelling sends
     the ends at slot s to the ends at slot g(s): a rotation keeps in and
-    out, a reflection swaps them, so the cyclic order in(u), in(v), out(u),
-    out(v) of bit 0 at chord (u, v) goes to the cycle of in(g u), in(g v),
-    out(g u), out(g v) (a reflection gives out, out, in, in: the same
-    cycle).  That is bit 0 at the image chord when g(u) < g(v), and read
-    from in(g v) it is bit 1 when g(u) > g(v); bit 1 goes to the other
-    order the same way.  So the relabelling carries the rotation
-    successors of k to those of g.k, and the face walk ``succ[dart ^ 1]``
-    with them: the two maps are isomorphic.  The complement of a key
-    reverses every cyclic order, the inverse rotation.  ``curve_code``
-    minimises over every root and both chiralities, so it gives isomorphic
-    maps, and mirrored ones, one code.
+    out, a reflection swaps them, and swapping gives the same cyclic
+    pattern (out(x), out(y), in(x), in(y) is the cycle in(x), in(y),
+    out(x), out(y)).  So the order that bit x of t(k) names at slot x is
+    the order that bit g(x) names at slot g(x): the image key's string is
+    t read through g^-1, which is t turned left by r for the rotation, and
+    t bit-reversed and then turned left by r + 1 for the reflection.  The
+    relabelling therefore carries the rotation successors of k to those of
+    g.k, and the face walk ``succ[dart ^ 1]`` with them: the two maps are
+    isomorphic.  The complement of a key reverses every cyclic order, the
+    inverse rotation, and its string is the complement string.
+    ``curve_code`` minimises over every root and both chiralities, so it
+    gives isomorphic maps, and mirrored ones, one code.
     """
-    full = (1 << d.n) - 1
     m = 2 * d.n
-    actions = []  # per symmetry: the chord each bit moves to, and the flips
-    for start, step in _symmetries(d):
-        target, flipped = [], 0
-        for u, v in d.chord_slots:
-            gu, gv = (start + step * u) % m, (start + step * v) % m
-            target.append(d.chord_of[gu])
-            flipped |= (gu > gv) << d.chord_of[gu]
-        actions.append((target, flipped))
+    full = (1 << m) - 1
+    seconds = sum(1 << v for _, v in d.chord_slots)
+    group = _symmetries(d)
     seen: set[int] = set()
     for report in reports:
-        key = report.rotation
-        if key in seen:
+        t = seconds
+        for i, (u, v) in enumerate(d.chord_slots):
+            if report.rotation >> i & 1:
+                t ^= 1 << u | 1 << v
+        if t in seen:
             continue
         yield report
-        for target, flipped in actions:
-            image = flipped
-            for i, j in enumerate(target):
-                image ^= (key >> i & 1) << j
+        back = int(f"{t:0{m}b}"[::-1], 2)
+        for start, step in group:
+            turn, r = (start, t) if step == 1 else (start + 1, back)
+            image = (r << turn | r >> (m - turn)) & full
             seen.add(image)
             seen.add(image ^ full)

@@ -13,12 +13,13 @@ import time
 from pathlib import Path
 
 import pytest
+from test_criterion import rosette
 
 import gaussflip
 from gaussflip import cli, flips, realize
 from gaussflip.cli import main
 from gaussflip.cubic import graph_from_diagram, moebius_ladder
-from gaussflip.diagrams import GaussDiagram, enumerate_diagrams, parse_word
+from gaussflip.diagrams import GaussDiagram, _symmetries, enumerate_diagrams, parse_word
 
 GOLDEN = Path(__file__).parent / "golden"
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -74,11 +75,51 @@ def record_and_coded(d: GaussDiagram) -> tuple[dict, list[int]]:
         cli.curve_code = real_code
 
 
+def orbit_keys_by_chord_maps(
+    d: GaussDiagram, reports: list[realize.EmbeddingReport]
+) -> list[int]:
+    """The least key of each orbit of d's symmetries and the mirror.
+
+    Acts on keys chord by chord: for a symmetry g, bit i of g.k, for chord
+    i at slots u < v, is bit i of k moved to the chord at slot g(u),
+    flipped when g(u) > g(v).  ``reports`` come in ascending key order.
+    """
+    full = (1 << d.n) - 1
+    m = 2 * d.n
+    actions = []  # per symmetry: the chord each bit moves to, and the flips
+    for start, step in _symmetries(d):
+        target, flipped = [], 0
+        for u, v in d.chord_slots:
+            gu, gv = (start + step * u) % m, (start + step * v) % m
+            target.append(d.chord_of[gu])
+            flipped |= (gu > gv) << d.chord_of[gu]
+        actions.append((target, flipped))
+    seen: set[int] = set()
+    kept = []
+    for report in reports:
+        key = report.rotation
+        if key in seen:
+            continue
+        kept.append(key)
+        for target, flipped in actions:
+            image = flipped
+            for i, j in enumerate(target):
+                image ^= (key >> i & 1) << j
+            seen.add(image)
+            seen.add(image ^ full)
+    return kept
+
+
 def assert_matches_reference(d: GaussDiagram) -> None:
-    """``analysis_record`` gives the reference curves, each coded once."""
+    """``analysis_record`` gives the reference curves, each coded once.
+
+    The keys it codes are the least of each orbit, as the chord-map action
+    finds them.
+    """
     record, coded = record_and_coded(d)
     assert record["curves"] == reference_curves(d), d.word()
     assert len(coded) == len(record["curves"]), d.word()
+    assert coded == orbit_keys_by_chord_maps(d, realize.realize_all(d)), d.word()
 
 
 def assert_classes_match_reference(max_chords: int) -> None:
@@ -125,6 +166,21 @@ class TestCurvesPerOrbit:
         rng = random.Random(20261019)
         for _ in range(200):
             assert_matches_reference(parse_word(symmetric_sum(rng)))
+
+    def test_rosette(self):
+        # R_251 = 1 2 ... 251 1 2 ... 251: all 1,004 reads are symmetries
+        d = rosette(251)
+        assert len(_symmetries(d)) == 1004
+        assert_matches_reference(d)
+
+    def test_rosette_of_2001_chords_in_seconds(self):
+        # 8,004 symmetries of 2,001 chords; the chord-map action took 9.4 s
+        d = rosette(2001)
+        reports = realize.realize_all(d)
+        began = time.process_time()
+        kept = list(realize._one_per_curve(d, reports))
+        assert time.process_time() - began < 3
+        assert kept == reports[:1]
 
 
 class TestAnalyze:

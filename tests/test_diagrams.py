@@ -9,6 +9,7 @@ import tracemalloc
 from collections.abc import Iterable, Sequence
 
 import pytest
+from test_cli import symmetric_sum
 
 from gaussflip import diagrams
 from gaussflip.diagrams import (
@@ -351,6 +352,13 @@ class TestSymmetries:
         # a read is a symmetry exactly when its circle map keeps the pairing
         every = (GaussDiagram(p) for n in range(1, 7) for p in brute_pairings(2 * n))
         assert assert_symmetries_match(every) == 11464
+        # random words rarely have a symmetry; rotated connected sums of
+        # stars, isolated chords and the fixtures often do
+        rng = random.Random(20261019)
+        words = [random_diagram(rng, rng.randint(7, 30)) for _ in range(300)]
+        sums = [parse_word(symmetric_sum(rng)) for _ in range(300)]
+        assert assert_symmetries_match(words + sums) == 600
+        assert sum(len(_symmetries(d)) > 1 for d in sums) == 187
         for k in (501, 1001):
             # R_k = 1 2 ... k 1 2 ... k: every read is a symmetry
             m = 2 * k
