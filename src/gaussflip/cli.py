@@ -30,7 +30,6 @@ import json
 import os
 import sys
 from collections.abc import Iterable, Iterator
-from pathlib import Path
 
 from .cubic import (
     CubicGraph,
@@ -54,31 +53,32 @@ from .flips import FlipError, apply_flip, flip_orbit, flip_sites, verify_flip_th
 from .realize import (
     RealizeError,
     _one_per_curve,
-    _plane_colouring,
     _plane_embeddings,
+    _plane_key,
     curve_code,
     gadget_planarity,
     is_realizable,
     min_genus,
 )
 
-# `enumerate --chords 8 --json` takes 2.2-2.3 s on a 2-core host with
+# `enumerate --chords 8 --json` takes 2.6-3.6 s on a 2-core host with
 # orderly generation, against 20-21 s when every pairing was built and
 # filtered.  Each chord more multiplies the class count by about 12.
 ENUMERATE_MAX = 8
-# `verify --max-chords 8 --threads 2` takes about 15 s on a 2-core host
-# (71,287 classes); 9 chords have about 14 times as many.
+# `verify --max-chords 8 --threads 2` takes 9.5-12 s on a 2-core host, and
+# 12.7-16.7 s with one worker (71,287 classes); 9 chords have about 14 times
+# as many.
 VERIFY_MAX = 8
 # `analyze --json` finds the least genus of an unrealizable diagram by
 # tracing all 2^n rotation systems: ABACBC plus isolated chords takes
-# 2.6 s at 16 chords and 4.5 s at 17 on a 2-core host.
+# 0.75-1.25 s at 16 chords and 1.6-1.9 s at 17 on a 2-core host.
 ANALYZE_MAX_UNREALIZABLE = 16
 # A realizable diagram with k interlacement components has 2^k plane
 # embeddings to trace, and codes one per orbit of its symmetries and the
 # mirror.  With the identity as its only symmetry that is 2^(k-1) codes:
 # nested chords AABCCBDEFFED... in nests of 1, 2, 3, 4 and 4 chords (k = 14)
-# take 2.8-3.1 s, and in nests of 1 to 5 chords (k = 15) 7.2 s, on the same
-# host.  14 isolated chords, with 28 symmetries, take 0.85 s.
+# take 2.1-2.4 s, and in nests of 1 to 5 chords (k = 15) 4.2-4.6 s, on the
+# same host.  14 isolated chords, with 28 symmetries, take 0.49-0.57 s.
 ANALYZE_MAX_COMPONENTS = 14
 # `graph iso mobius:k mobius:k --json` takes 0.5 s and 41 MB at k = 10^4
 # and 3.7 s and 254 MB at k = 10^5 on a 2-core host; the ladder is built
@@ -108,13 +108,9 @@ def _load_graph(spec: str) -> CubicGraph:
         return moebius_ladder(k)
     if spec == "-":
         return parse_edge_list(sys.stdin.read())
-    path = Path(spec)
-    try:
-        is_file = path.is_file()
-    except OSError:  # e.g. an inline edge list too long to be a file name
-        is_file = False
-    if is_file:
-        return parse_edge_list(path.read_text())
+    if os.path.isfile(spec):  # False, not an error, on a name too long for a file
+        with open(spec) as f:
+            return parse_edge_list(f.read())
     if "," in spec or "\n" in spec:
         return parse_edge_list(spec.replace(",", "\n"))
     raise GraphError(
@@ -131,7 +127,7 @@ def analysis_record(d: GaussDiagram, raw: str) -> dict:
     with a ``RealizeError`` before the walk starts.
     """
     inter = interlacement_graph(d)
-    solved = _plane_colouring(d)  # None, or a colouring and the components
+    solved = _plane_key(d)  # None, or a plane key and the components
     if solved is not None and len(solved[1]) > ANALYZE_MAX_COMPONENTS:
         raise RealizeError(
             f"analyze traces and codes all 2^k plane embeddings; {len(solved[1])}"

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import os
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .diagrams import GaussDiagram, canonical_form, canonical_words, parse_word
@@ -233,6 +232,9 @@ def verify_flip_theorem(max_n: int, workers: int = 1) -> FlipTheoremReport:
     words = [w for n in range(1, max_n + 1) for w in canonical_words(n)]
     workers = min(workers, os.cpu_count() or 1)
     if workers > 1:
+        # imported here, so that no other command loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(check_word_flips, words, chunksize=16))
     else:

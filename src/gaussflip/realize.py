@@ -24,21 +24,23 @@ realizable diagram with k components has 2^k plane embeddings, and
 ``realize_all`` traces only those.  The tests check this identity against
 exhaustive tracing on every class up to 6 chords.
 
-Decision procedure (``_plane_colouring``).  Reject on condition 1, read
-as slot parity: ``parity_check`` asks that every chord join an even slot
-to an odd one, which its docstring shows is the same condition.  Colour
+Decision procedure (``_plane_key``).  Reject on condition 1, read as
+slot parity: ``parity_check`` asks that every chord join an even slot to
+an odd one, which its docstring shows is the same condition.  Colour
 each component of the interlacement graph along a spanning forest, its
 least chord 0, by condition 3's rule on the tree edges only; read the
 key as above and trace its faces once.  The diagram is realizable
-exactly when the trace gives n + 2 faces, genus 0 by Euler's relation.
-Proof: a genus-0 key is a plane embedding.  Conversely, the criterion
-gives a realizable diagram a cut colouring c*.  Tree edges join
-interlaced pairs, so c* obeys every tree rule, and on each component the
-forest colouring is c* or its complement, again a cut colouring, whose
-key is planar.  This costs O(n^2 / w) operations on w-bit words of the
-bitmask rows, plus one trace of 4n darts.  The criterion, condition by
-condition, is the test oracle; so is the walk over all 2^n keys that
-``min_genus`` keeps for the least genus of an unrealizable diagram.
+exactly when the trace gives n + 2 faces, genus 0 by Euler's relation,
+and the decision then returns that key: it is the verdict's certificate,
+a plane embedding that ``trace_faces`` can check.  Proof: a genus-0 key
+is a plane embedding.  Conversely, the criterion gives a realizable
+diagram a cut colouring c*.  Tree edges join interlaced pairs, so c*
+obeys every tree rule, and on each component the forest colouring is c*
+or its complement, again a cut colouring, whose key is planar.  This
+costs O(n^2 / w) operations on w-bit words of the bitmask rows, plus one
+trace of 4n darts.  The criterion, condition by condition, is the test
+oracle; so is the walk over all 2^n keys that ``min_genus`` keeps for
+the least genus of an unrealizable diagram.
 
 Dart bookkeeping.  The curve visits slots 0..2n-1 in order, so there are
 2n arcs (arc a runs slot a -> slot a+1) and 4n darts: dart 2a is arc a
@@ -71,7 +73,7 @@ diagram is realizable exactly when the resulting ordinary graph is planar.
 Its planarity is decided by the left-right test of ``planarity``, which
 stays independent of the forest decision: it sees only an ordinary
 graph, never chords or interlacement, shares no code with
-``_plane_colouring``, and is itself checked against networkx in the tests.
+``_plane_key``, and is itself checked against networkx in the tests.
 """
 
 from __future__ import annotations
@@ -92,7 +94,7 @@ class NotAPlaneCurveError(RealizeError):
     """Raised when a sphere-only operation meets a positive-genus embedding."""
 
 
-# the decision's answer: None, or the forest's colouring and the components
+# the decision's answer: None, or a plane key and the interlacement components
 _Decision = tuple[int, list[int]] | None
 
 
@@ -192,18 +194,14 @@ def trace_faces(d: GaussDiagram, key: int) -> EmbeddingReport:
     return EmbeddingReport(d, key, tuple(faces), euler_defect // 2)
 
 
-def _key_of(d: GaussDiagram, colour: int) -> int:
-    """The rotation key of a colouring: c_i XOR the parity of chord i's first slot."""
-    return colour ^ sum((u & 1) << i for i, (u, _) in enumerate(d.chord_slots))
+def _plane_key(d: GaussDiagram) -> _Decision:
+    """The decision: ``None``, or the forest's plane key and the components.
 
-
-def _plane_colouring(d: GaussDiagram) -> _Decision:
-    """The decision: ``None``, or the forest's cut colouring and the components.
-
-    Bit i of the colouring is chord i's colour, 0 on the least chord of
-    each component; each component is a bitmask of its chords.  Parity
-    rejects first, so a diagram that fails it never builds its
-    interlacement rows.
+    The forest colours each component from its least chord, colour 0; the
+    key is that colouring read as rotation bits, bit i = c_i XOR the parity
+    of chord i's first slot, and it has traced to n + 2 faces.  Each
+    component is a bitmask of its chords.  Parity rejects first, so a
+    diagram that fails it never builds its interlacement rows.
     """
     if not parity_check(d):
         return None
@@ -228,15 +226,16 @@ def _plane_colouring(d: GaussDiagram) -> _Decision:
                 colour |= (bit & 1) << v
                 stack.append(v)
         components.append(seen ^ before)
-    if _face_count(_rotation_successors(d, _key_of(d, colour))) != d.n + 2:
+    key = colour ^ sum((u & 1) << i for i, (u, _) in enumerate(d.chord_slots))
+    if _face_count(_rotation_successors(d, key)) != d.n + 2:
         return None
-    return colour, components
+    return key, components
 
 
 def realize_all(d: GaussDiagram) -> list[EmbeddingReport]:
     """Every genus-zero embedding, in rotation-system order.
 
-    Traces only the forest colouring's key XOR each set of whole
+    Traces only the decision's plane key XOR each set of whole
     components: 2^k keys for k interlacement components, each of genus 0.
     A key and its mirror (every bit flipped) are both traced, not one
     derived from the other: the caller gets every plane embedding with its
@@ -244,15 +243,15 @@ def realize_all(d: GaussDiagram) -> list[EmbeddingReport]:
     would need a second face routine with its own tests, to save about
     0.06 s per traced ``analyze`` round.
     """
-    return _plane_embeddings(d, _plane_colouring(d))
+    return _plane_embeddings(d, _plane_key(d))
 
 
 def _plane_embeddings(d: GaussDiagram, solved: _Decision) -> list[EmbeddingReport]:
-    """``realize_all`` from a decision already made: ``_plane_colouring(d)``."""
+    """``realize_all`` from a decision already made: ``_plane_key(d)``."""
     if solved is None:
         return []
-    colour, components = solved
-    keys = [_key_of(d, colour)]
+    key, components = solved
+    keys = [key]
     for component in components:
         keys += [k ^ component for k in keys]
     reports = []
@@ -281,7 +280,7 @@ def min_genus(d: GaussDiagram) -> int:
 
 def is_realizable(d: GaussDiagram) -> bool:
     """True when the forest colouring's key traces to genus 0."""
-    return _plane_colouring(d) is not None
+    return _plane_key(d) is not None
 
 
 @lru_cache(maxsize=None)
@@ -331,7 +330,7 @@ def gadget_planarity(d: GaussDiagram) -> bool:
 
     The graph, with in(s) = 2s and out(s) = 2s + 1, goes to the
     left-right test ``planarity.is_planar``.  That test sees only an
-    ordinary graph, shares no code with ``_plane_colouring``, and is
+    ordinary graph, shares no code with ``_plane_key``, and is
     checked against networkx's ``check_planarity`` in the tests, so this
     verdict stays independent of the forest decision.
     """

@@ -228,14 +228,14 @@ class TestAnalyze:
 
     def test_one_decision_per_record(self, monkeypatch):
         calls = []
-        decide = realize._plane_colouring
+        decide = realize._plane_key
 
         def counted(d):
             calls.append(d.word())
             return decide(d)
 
-        monkeypatch.setattr(realize, "_plane_colouring", counted)
-        monkeypatch.setattr(cli, "_plane_colouring", counted)
+        monkeypatch.setattr(realize, "_plane_key", counted)
+        monkeypatch.setattr(cli, "_plane_key", counted)
         for word in ("ADBECADBEC", "ACDECABDEB", "AEBACBDCED", "AABBCC"):
             calls.clear()
             cli.analysis_record(parse_word(word), word)
@@ -696,6 +696,23 @@ class TestTopLevel:
             env={**os.environ, "PYTHONPATH": src},
         )
         assert proc.returncode == 0, proc.stderr
+
+    def test_import_leaves_the_process_pool_out(self):
+        # only `verify --threads N` with N > 1 starts a pool, and imports it then
+        src = str(Path(gaussflip.__file__).parent.parent)
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys, gaussflip.cli; print(sorted({'multiprocessing',"
+                " 'concurrent.futures'} & set(sys.modules)))",
+            ],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
     def test_module_entry_point(self):
         # the child imports the same gaussflip as this test, installed or not

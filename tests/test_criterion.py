@@ -2,9 +2,9 @@
 
 The package decides realizability by colouring one spanning forest of the
 interlacement graph and tracing the key it gives once
-(``realize._plane_colouring``).  Here the criterion (C. R. Acad. Sci. Paris
+(``realize._plane_key``).  Here the criterion (C. R. Acad. Sci. Paris
 283, 1976) tests every condition on every pair, independently of any face
-trace, and must give the same verdict, the same colouring and components,
+trace, and must give the same verdict, the same plane key and components,
 and the same ``realize_all`` keys.  CI runs ``assert_classes_agree(8)``.
 """
 
@@ -14,7 +14,7 @@ import pytest
 
 from gaussflip.diagrams import GaussDiagram, enumerate_diagrams, parse_word
 from gaussflip.realize import (
-    _plane_colouring,
+    _plane_key,
     gadget_planarity,
     is_realizable,
     realize_all,
@@ -68,22 +68,38 @@ def cut_colouring(d: GaussDiagram) -> tuple[int, list[int]] | None:
     return colour, components
 
 
-def criterion_keys(d: GaussDiagram) -> list[int]:
-    """The plane keys of the cut colourings: one per set of whole components."""
+def colour_key(d: GaussDiagram, colour: int) -> int:
+    """The rotation key of a colouring: c_i XOR the parity of chord i's first slot."""
+    return colour ^ sum((u & 1) << i for i, (u, _) in enumerate(d.chord_slots))
+
+
+def criterion_key(d: GaussDiagram) -> tuple[int, list[int]] | None:
+    """The criterion in the decision's form: ``None``, or a key and the components."""
     solved = cut_colouring(d)
     if solved is None:
-        return []
+        return None
     colour, components = solved
-    keys = [colour ^ sum((u & 1) << i for i, (u, _) in enumerate(d.chord_slots))]
+    return colour_key(d, colour), components
+
+
+def criterion_keys(d: GaussDiagram) -> list[int]:
+    """The plane keys of the cut colourings: one per set of whole components."""
+    solved = criterion_key(d)
+    if solved is None:
+        return []
+    key, components = solved
+    keys = [key]
     for component in components:
         keys += [k ^ component for k in keys]
     return sorted(keys)
 
 
 def assert_forest_matches_criterion(d: GaussDiagram) -> None:
-    want = cut_colouring(d)
-    assert _plane_colouring(d) == want, d.word()
+    want = criterion_key(d)
+    assert _plane_key(d) == want, d.word()
     assert is_realizable(d) == (want is not None), d.word()
+    if want is not None:
+        assert trace_faces(d, want[0]).genus == 0, d.word()
     assert [r.rotation for r in realize_all(d)] == criterion_keys(d), d.word()
 
 
@@ -126,8 +142,7 @@ def forest_verdict(d: GaussDiagram, edge_bit) -> bool:
                     common = (masks[u] & masks[v]).bit_count() & 1
                     colour |= (colour >> u & 1 ^ edge_bit(common)) << v
                     stack.append(v)
-    key = colour ^ sum((u & 1) << i for i, (u, _) in enumerate(d.chord_slots))
-    return trace_faces(d, key).genus == 0
+    return trace_faces(d, colour_key(d, colour)).genus == 0
 
 
 MUTANTS = {
@@ -141,12 +156,13 @@ def test_classes_up_to_seven_chords():
 
 
 def test_fixture_colourings():
-    # ABCABC: each pair shares one neighbour, so all three take colour 0
-    assert _plane_colouring(parse_word("ABCABC")) == (0b000, [0b111])
-    assert _plane_colouring(parse_word("AABB")) == (0b00, [0b01, 0b10])
-    assert _plane_colouring(parse_word("ABAB")) is None  # odd degrees
+    # ABCABC: each pair shares one neighbour, so all three take colour 0;
+    # B alone starts at an odd slot, so the key has bit 1 only
+    assert _plane_key(parse_word("ABCABC")) == (0b010, [0b111])
+    assert _plane_key(parse_word("AABB")) == (0b00, [0b01, 0b10])
+    assert _plane_key(parse_word("ABAB")) is None  # odd degrees
     # five chords: every degree even, yet not a plane curve
-    assert _plane_colouring(parse_word("AEBACBDCED")) is None
+    assert _plane_key(parse_word("AEBACBDCED")) is None
     assert cut_colouring(parse_word("AEBACBDCED")) is None
 
 

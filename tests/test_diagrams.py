@@ -10,6 +10,7 @@ from collections.abc import Iterable, Sequence
 
 import pytest
 from test_cli import symmetric_sum
+from test_criterion import rosette
 
 from gaussflip import diagrams
 from gaussflip.diagrams import (
@@ -345,8 +346,11 @@ class TestSymmetries:
         cases += [random_diagram(rng, rng.randint(6, 14)) for _ in range(300)]
         tokens = [f"c{i}" for i in range(27)]
         cases.append(parse_word(" ".join(tokens * 2)))
+        # symmetric input: every read of a rosette ties, and many of a sum do
+        cases += [rosette(k) for k in range(3, 102, 2)]
+        cases += [parse_word(symmetric_sum(rng)) for _ in range(300)]
         for d in cases:
-            assert canonical_form(d) == orbit_word(d.pairing)
+            assert canonical_form(d) == orbit_word(d.pairing), d.word()
 
     def test_symmetry_reads_match_the_pairing_test(self):
         # a read is a symmetry exactly when its circle map keeps the pairing

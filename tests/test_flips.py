@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import itertools
 import os
 import random
@@ -324,7 +325,8 @@ class TestTheoremSweep:
             def map(self, fn, items, chunksize=1):
                 return map(fn, items)
 
-        monkeypatch.setattr(flips, "ProcessPoolExecutor", RecordingPool)
+        # verify imports the pool only when it starts one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         serial = verify_flip_theorem(3, workers=1)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         assert verify_flip_theorem(3, workers=10**6) == serial

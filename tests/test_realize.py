@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import random
 import sys
 
 import pytest
+from test_cli import symmetric_sum
+from test_criterion import rosette
 
 from gaussflip.diagrams import GaussDiagram, canonical_words, parse_word
 from gaussflip.realize import (
@@ -54,6 +57,21 @@ def reference_curve_code(report) -> str:
 
     best = min(encode(root, sigma) for sigma in (succ, inv) for root in range(nd))
     return "-".join(f"{best[i]}.{best[i + 1]}" for i in range(0, len(best), 2))
+
+
+def assert_codes_match_reference(reports) -> int:
+    """``curve_code`` against ``reference_curve_code``; returns how many were compared.
+
+    CI runs it on every plane embedding up to 7 chords.
+    """
+    compared = 0
+    for report in reports:
+        assert curve_code(report) == reference_curve_code(report), (
+            report.diagram.word(),
+            report.rotation,
+        )
+        compared += 1
+    return compared
 
 
 # classes found realizable among the 1, 2, 5, 17, 79, 554, 5283 for n = 1..7
@@ -272,9 +290,16 @@ class TestCurveCodes:
     def test_matches_reference_on_sums(self, word, pairs):
         # many roots tie with the least code far into it; one code per mirror pair
         reports = [r for r in realize_all(parse_word(word)) if not r.rotation & 1]
-        assert len(reports) == pairs
-        for report in reports:
-            assert curve_code(report) == reference_curve_code(report), report.rotation
+        assert assert_codes_match_reference(reports) == pairs
+
+    def test_matches_reference_on_symmetric_input(self):
+        # R_k for odd k has one interlacement component: two plane embeddings
+        rosettes = (r for k in range(3, 32, 2) for r in realize_all(rosette(k)))
+        assert assert_codes_match_reference(rosettes) == 30
+        rng = random.Random(20261019)
+        sums = [parse_word(symmetric_sum(rng)) for _ in range(60)]
+        reports = (r for d in sums for r in realize_all(d)[:8])
+        assert assert_codes_match_reference(reports) == 400
 
     def test_code_text_is_single_token(self):
         report = realize_all(parse_word("AA"))[0]
