@@ -1,8 +1,10 @@
 """Exhaustive check: flips never change realizability.
 
-The library enumerates every diagram class up to six chords, tries every
-flip site of every class, and compares realizability before and after.
-The claim is that the verdict never changes.  The second half counts
+The library enumerates every diagram class up to six chords, counts every
+flip site of every class, and compares realizability before and after
+each flip from a realizable class; a flip is an involution on classes, so
+a flip that changed the verdict would show at its realizable end.  The
+claim is that the verdict never changes.  The second half counts
 classes per chord number and splits them by verdict, so the growth of
 the table is visible at a glance.
 """

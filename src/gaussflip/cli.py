@@ -65,10 +65,10 @@ from .realize import (
 # orderly generation, against 20-21 s when every pairing was built and
 # filtered.  Each chord more multiplies the class count by about 12.
 ENUMERATE_MAX = 8
-# `verify --max-chords 8 --threads 2` takes 9.5-12 s on a 2-core host, and
-# 12.7-16.7 s with one worker (71,287 classes); 9 chords have about 14 times
-# as many.
-VERIFY_MAX = 8
+# `verify --max-chords 9 --threads 2` takes 70-72 s on a 2-core host, and
+# 94-107 s with one worker (1,037,443 classes); 8 chords take 5.5-5.9 s
+# and 7.9-8.1 s.  10 chords have 17 times as many classes as 9.
+VERIFY_MAX = 9
 # `analyze --json` finds the least genus of an unrealizable diagram by
 # tracing all 2^n rotation systems: ABACBC plus isolated chords takes
 # 0.75-1.25 s at 16 chords and 1.6-1.9 s at 17 on a 2-core host.

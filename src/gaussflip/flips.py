@@ -14,10 +14,12 @@ from __future__ import annotations
 
 import os
 from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import islice
 
-from .diagrams import GaussDiagram, canonical_form, canonical_words, parse_word
-from .realize import gadget_planarity, is_realizable, realizable_class
+from .diagrams import GaussDiagram, canonical_form, enumerate_diagrams, parse_word
+from .realize import _gauss_parity, gadget_planarity, is_realizable, realizable_class
 
 
 class FlipError(ValueError):
@@ -166,7 +168,7 @@ class FlipTheoremReport:
     diagrams_checked: int
     sites_checked: int
     counterexamples: tuple[FlipCounterexample, ...]
-    oracle_mismatches: tuple[str, ...] = ()  # classes where gadget != decision
+    oracle_mismatches: tuple[str, ...] = ()  # classes where oracle != decision
 
     def ok(self) -> bool:
         """True when no flip changed realizability and the oracles agreed."""
@@ -209,37 +211,102 @@ class FlipTheoremReport:
 
 
 def check_word_flips(word: str) -> tuple[int, tuple[FlipCounterexample, ...], bool]:
-    """Sites checked, realizability-changing flips, and whether the oracles agree."""
+    """Sites counted, realizability-changing flips, and whether the oracles agree.
+
+    Every site of the class is counted, but the flips are applied and
+    decided from the realizable end only: an unrealizable class returns no
+    counterexamples of its own.  A flip is an involution on classes, so a
+    flip that changes realizability has a realizable end.  When a flip
+    from here lands on an unrealizable class, that class's canonical word
+    is re-checked over all of its sites, and its counterexamples come back
+    too, under its own word; ``verify_flip_theorem`` puts them in sweep
+    order.  The oracle is Gauss's parity count, then the gadget on the
+    classes that pass it: a second derivation of every verdict.
+    """
     d = parse_word(word)
     before = is_realizable(d)
-    bad: list[FlipCounterexample] = []
     sites = flip_sites(d)
-    for site in sites:
+    bad: list[FlipCounterexample] = []
+    if before:
+        for site in sites:
+            flipped = apply_flip(d, site)
+            if not is_realizable(flipped):
+                bad.append(FlipCounterexample(word, site.i, site.j, True, False))
+                bad += _every_change(canonical_form(flipped))
+    agrees = before == (_gauss_parity(d) and gadget_planarity(d))
+    return len(sites), tuple(bad), agrees
+
+
+def _every_change(word: str) -> list[FlipCounterexample]:
+    """The flips of class ``word``, at every site, that change its verdict."""
+    d = parse_word(word)
+    before = is_realizable(d)
+    bad = []
+    for site in flip_sites(d):
         after = is_realizable(apply_flip(d, site))
         if after != before:
             bad.append(FlipCounterexample(word, site.i, site.j, before, after))
-    return len(sites), tuple(bad), gadget_planarity(d) == before
+    return bad
+
+
+def _check_chunk(words: list[str]) -> tuple[int, int, list[FlipCounterexample], list[str]]:
+    """One chunk of the sweep: classes, sites, counterexamples, oracle mismatches."""
+    sites = 0
+    bad: list[FlipCounterexample] = []
+    mismatches = []
+    for word in words:
+        count, found, agrees = check_word_flips(word)
+        sites += count
+        bad += found
+        if not agrees:
+            mismatches.append(word)
+    return len(words), sites, bad, mismatches
+
+
+def _pooled(chunks: Iterator[list[str]], workers: int) -> Iterator[tuple]:
+    """``map(_check_chunk, chunks)`` on a pool that checks while chunks still arrive.
+
+    At most four chunks per worker are in flight, so the caller's memory
+    stays flat however many classes the sweep enumerates.
+    """
+    # imported here, so that no other command loads multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        window: deque = deque()
+        for chunk in chunks:
+            window.append(pool.submit(_check_chunk, chunk))
+            if len(window) > 4 * workers:
+                yield window.popleft().result()
+        for future in window:
+            yield future.result()
 
 
 def verify_flip_theorem(max_n: int, workers: int = 1) -> FlipTheoremReport:
     """Check flips and oracle agreement over all classes n <= max_n in one pass.
 
-    At most one worker process per CPU is started: the pool starts all of
-    its workers at once, and the report is the same for any count.
+    Classes stream from ``enumerate_diagrams`` in chunks of 128 words, and
+    with more than one worker the pool checks them while this process is
+    still enumerating.  A chunk is a few milliseconds of checking, so the
+    pool's own cost per chunk stays small beside it.  Only running sums
+    and the classes to report are kept.  Counterexamples come back in sweep order, ascending (length,
+    canonical word), then by site.  At most one worker process per CPU is
+    started: the pool starts all of its workers at once, and the report is
+    the same for any count.
     """
     if max_n < 2:
         raise FlipError(f"max chord count must be at least 2, got {max_n}")
-    words = [w for n in range(1, max_n + 1) for w in canonical_words(n)]
+    words = (d.word() for n in range(1, max_n + 1) for d in enumerate_diagrams(n))
+    chunks = iter(lambda: list(islice(words, 128)), [])
     workers = min(workers, os.cpu_count() or 1)
-    if workers > 1:
-        # imported here, so that no other command loads multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(check_word_flips, words, chunksize=16))
-    else:
-        results = [check_word_flips(w) for w in words]
-    sites = sum(s for s, _, _ in results)
-    bad = tuple(c for _, cs, _ in results for c in cs)
-    mismatches = tuple(w for w, (_, _, agrees) in zip(words, results) if not agrees)
-    return FlipTheoremReport(max_n, len(words), sites, bad, mismatches)
+    results = _pooled(chunks, workers) if workers > 1 else map(_check_chunk, chunks)
+    classes = sites = 0
+    bad: set[FlipCounterexample] = set()  # a class re-checked twice reports once
+    mismatches: list[str] = []
+    for chunk_classes, chunk_sites, found, wrong in results:
+        classes += chunk_classes
+        sites += chunk_sites
+        bad.update(found)
+        mismatches += wrong
+    order = sorted(bad, key=lambda c: (len(c.word), c.word, c.i))
+    return FlipTheoremReport(max_n, classes, sites, tuple(order), tuple(mismatches))

@@ -74,6 +74,10 @@ Its planarity is decided by the left-right test of ``planarity``, which
 stays independent of the forest decision: it sees only an ordinary
 graph, never chords or interlacement, shares no code with
 ``_plane_key``, and is itself checked against networkx in the tests.
+``verify`` gates it with ``_gauss_parity``, Gauss's parity condition
+counted on the raw pairing: a diagram that fails the count is
+unrealizable by a Jordan-curve argument, so only the others need the
+gadget.
 """
 
 from __future__ import annotations
@@ -345,6 +349,36 @@ def gadget_planarity(d: GaussDiagram) -> bool:
             adjacency[a].append(b)
             adjacency[b].append(a)
     return is_planar(adjacency)
+
+
+def _gauss_parity(d: GaussDiagram) -> bool:
+    """Gauss's parity condition, counted on the raw pairing: the gadget's gate.
+
+    For each chord at slots u < v, count the slots strictly between u and
+    v whose partner lies outside that stretch; a realizable diagram has
+    every count even.  The count reads ``d.pairing`` alone and shares no
+    code with ``parity_check`` or ``interlacement_masks``, so ``verify``
+    can send only the diagrams that pass it to ``gadget_planarity`` and
+    still derive every verdict twice.
+
+    Necessity.  Take a plane curve drawing d and split it at the crossing
+    x of chord (u, v) into two closed loops: A runs along the slots from u
+    to v, B along those from v back to u.  The crossing is transverse, so
+    its ends go round x as in(u), in(v), out(u), out(v); A's ends out(u)
+    and in(v) are neighbours, so A and B only touch at x, and pushing A
+    off x separates them there.  Every other point where A meets B is a
+    crossing with one visit inside the stretch and one outside: exactly
+    the slots counted.  The winding number of B around a moving point
+    changes by plus or minus one each time the point crosses B, and is
+    back at its first value once the point has run round A, so A crosses
+    B an even number of times.
+    """
+    p = d.pairing
+    return all(
+        sum(not u < p[s] < v for s in range(u + 1, v)) % 2 == 0
+        for u, v in enumerate(p)
+        if u < v
+    )
 
 
 def _encode_below(

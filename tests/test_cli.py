@@ -574,32 +574,33 @@ class TestVerify:
         assert serial == parallel
 
     def test_oracle_mismatch_fails(self, capsys, monkeypatch):
-        # a gadget oracle that calls ABAB planar disagrees with face tracing
+        # a gadget oracle that calls AABB non-planar disagrees with the
+        # decision; ABAB fails the parity count, so the gadget never sees it
         real = flips.gadget_planarity
         monkeypatch.setattr(
             flips,
             "gadget_planarity",
-            lambda d: d.word() == "ABAB" or real(d),
+            lambda d: d.word() != "AABB" and real(d),
         )
         code, out, _ = run_cli(
             capsys, "verify", "--json", "--max-chords", "3", "--threads", "1"
         )
         assert code == 3
         data = assert_json_stable(out)
-        assert data["oracle_agreement"]["mismatches"] == ["ABAB"]
+        assert data["oracle_agreement"]["mismatches"] == ["AABB"]
         assert data["flip_theorem"]["counterexamples"] == []
         code, out, _ = run_cli(capsys, "verify", "--max-chords", "3", "--threads", "1")
         assert code == 3
         assert out.splitlines()[1:] == [
             "oracle agreement up to 3 chords: 1 DISAGREEMENTS",
-            "  oracle mismatch on ABAB",
+            "  oracle mismatch on AABB",
         ]
 
     def test_bounds(self, capsys):
-        for args in (["--max-chords", "1"], ["--max-chords", "9"]):
+        for args in (["--max-chords", "1"], ["--max-chords", "10"]):
             code, _, err = run_cli(capsys, "verify", *args)
             assert code == 2
-            assert "between 2 and 8" in err
+            assert "between 2 and 9" in err
         code, _, err = run_cli(capsys, "verify", "--max-chords", "3", "--threads", "0")
         assert code == 2
         assert "positive" in err

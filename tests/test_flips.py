@@ -25,6 +25,7 @@ from gaussflip.diagrams import (
     parse_word,
 )
 from gaussflip.flips import (
+    FlipCounterexample,
     FlipError,
     FlipSite,
     StaleSiteError,
@@ -70,6 +71,28 @@ def token_route_flip(d, site):
     for s, t in zip(arc, reversed(arc)):
         names[s] = d.labels[d.chord_of[t]]
     return GaussDiagram.from_tokens(names)
+
+
+def all_sites_sweep(max_n):
+    """Reference sweep: every class applies and decides every flip, and the
+    gadget sees every class.
+
+    It reads the decision and the gadget through ``flips`` at call time, so
+    a test's patch there reaches it.  Returns the counterexamples and the
+    oracle mismatches, in sweep order.
+    """
+    bad, mismatches = [], []
+    for n in range(1, max_n + 1):
+        for word in canonical_words(n):
+            d = parse_word(word)
+            before = flips.is_realizable(d)
+            for site in flip_sites(d):
+                after = flips.is_realizable(apply_flip(d, site))
+                if after != before:
+                    bad.append(FlipCounterexample(word, site.i, site.j, before, after))
+            if flips.gadget_planarity(d) != before:
+                mismatches.append(word)
+    return tuple(bad), tuple(mismatches)
 
 
 def random_words(seed, count, max_n):
@@ -271,13 +294,14 @@ class TestTheoremSweep:
         }
 
     def test_oracle_mismatch_is_not_ok(self, monkeypatch):
-        # a gadget oracle that calls ABAB planar disagrees with the criterion
+        # a gadget oracle that calls AABB non-planar disagrees with the
+        # decision; ABAB fails the parity count, so the gadget never sees it
         real = flips.gadget_planarity
         monkeypatch.setattr(
-            flips, "gadget_planarity", lambda d: d.word() == "ABAB" or real(d)
+            flips, "gadget_planarity", lambda d: d.word() != "AABB" and real(d)
         )
         report = verify_flip_theorem(3)
-        assert report.oracle_mismatches == ("ABAB",)
+        assert report.oracle_mismatches == ("AABB",)
         assert report.counterexamples == ()
         assert not report.ok()
         assert report.summary().endswith("no counterexamples")
@@ -289,24 +313,68 @@ class TestTheoremSweep:
         assert report.ok()
 
     def test_workers_match_serial(self):
-        # 104 classes go out in chunks of 16, so the pool must put 7
+        # 658 classes go out in chunks of 128, so the pool must put 6
         # chunks back in order
-        serial = verify_flip_theorem(5)
-        parallel = verify_flip_theorem(5, workers=2)
-        assert serial.diagrams_checked == 104
+        serial = verify_flip_theorem(6)
+        parallel = verify_flip_theorem(6, workers=2)
+        assert serial.diagrams_checked == 658
         assert serial == parallel
 
     def test_workers_keep_sweep_order(self, monkeypatch):
-        # two classes in different chunks of 16 disagree with the decision;
-        # fork workers inherit the patch, and without it the list is empty
-        words = [w for n in range(1, 6) for w in canonical_words(n)]
-        chosen = (words[2], words[89])
+        # two classes that pass the parity count, in different chunks of
+        # 128, disagree with the decision; fork workers inherit the patch,
+        # and without it the list is empty
+        words = [w for n in range(1, 7) for w in canonical_words(n)]
+        chosen = (words[1], words[291])
         monkeypatch.setattr(
             flips,
             "gadget_planarity",
             lambda d: is_realizable(d) != (d.word() in chosen),
         )
-        assert verify_flip_theorem(5, workers=2).oracle_mismatches == chosen
+        assert verify_flip_theorem(6, workers=2).oracle_mismatches == chosen
+
+    def test_gadget_and_flips_only_where_needed(self, monkeypatch):
+        # up to 6 chords: 80 of the 658 classes pass the parity count, and
+        # the 68 realizable ones apply 100 of the 820 flips
+        calls = Counter()
+
+        def counting(name):
+            real = getattr(flips, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(flips, name, wrapper)
+
+        counting("gadget_planarity")
+        counting("apply_flip")
+        report = verify_flip_theorem(6)
+        assert report.sites_checked == 820
+        assert calls == {"gadget_planarity": 80, "apply_flip": 100}
+
+    # realizable ABCDEABCDE (class 103 of the sweep up to 6 chords) and
+    # unrealizable ABABCDEFCDEF (class 474, another chunk) have flips to
+    # other classes of their own verdict; turning both verdicts makes flips
+    # change realizability in both directions
+    TURNED = ("ABCDEABCDE", "ABABCDEFCDEF")
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_counterexamples_match_all_sites_sweep(self, monkeypatch, workers):
+        real = flips.is_realizable
+        monkeypatch.setattr(
+            flips,
+            "is_realizable",
+            lambda d: real(d) != (canonical_form(d) in self.TURNED),
+        )
+        bad, mismatches = all_sites_sweep(6)
+        report = verify_flip_theorem(6, workers=workers)
+        assert report.counterexamples == bad
+        assert report.oracle_mismatches == mismatches == self.TURNED
+        # the unrealizable ends come only from re-checking reached classes
+        assert {c.before for c in bad} == {True, False}
+        assert len({c.word for c in bad}) == 5
+        assert not report.ok()
 
     def test_workers_capped_at_cpu_count(self, monkeypatch):
         # the pool starts every worker up front, so a recorder stands in for it
@@ -322,8 +390,10 @@ class TestTheoremSweep:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, items, chunksize=1):
-                return map(fn, items)
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
 
         # verify imports the pool only when it starts one
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)

@@ -4,15 +4,18 @@ from __future__ import annotations
 
 import random
 import sys
+from collections.abc import Iterable
 
 import pytest
 from test_cli import symmetric_sum
 from test_criterion import rosette
+from test_diagrams import brute_pairings
 
-from gaussflip.diagrams import GaussDiagram, canonical_words, parse_word
+from gaussflip.diagrams import GaussDiagram, canonical_words, parity_check, parse_word
 from gaussflip.realize import (
     NotAPlaneCurveError,
     RealizeError,
+    _gauss_parity,
     _rotation_successors,
     curve_code,
     gadget_planarity,
@@ -76,6 +79,36 @@ def assert_codes_match_reference(reports) -> int:
 
 # classes found realizable among the 1, 2, 5, 17, 79, 554, 5283 for n = 1..7
 REALIZABLE_COUNTS = (1, 1, 3, 5, 15, 43, 172)
+
+
+def assert_gadget_matches_decision(cases: Iterable[GaussDiagram]) -> int:
+    """``gadget_planarity`` against ``is_realizable``; returns how many were compared.
+
+    ``verify`` sends only the classes that pass the parity count to the
+    gadget, so CI runs this on every class up to 8 chords, where the test
+    suite stops at 7.
+    """
+    checked = 0
+    for d in cases:
+        assert gadget_planarity(d) == is_realizable(d), d.word()
+        checked += 1
+    return checked
+
+
+def assert_parity_count_matches(cases: Iterable[GaussDiagram]) -> int:
+    """``_gauss_parity`` against ``parity_check``; returns how many were compared.
+
+    CI runs it on every class up to 8 chords.
+    """
+    checked = 0
+    for d in cases:
+        assert _gauss_parity(d) == parity_check(d), d.pairing
+        checked += 1
+    return checked
+
+
+def classes_up_to(max_n: int):
+    return (parse_word(w) for n in range(1, max_n + 1) for w in canonical_words(n))
 
 
 class TestRotationSystems:
@@ -203,13 +236,7 @@ class TestGadgetOracle:
         assert not gadget_planarity(parse_word("ABAB"))
 
     def test_matches_criterion_up_to_seven(self):
-        checked = 0
-        for n in range(1, 8):
-            for word in canonical_words(n):
-                d = parse_word(word)
-                assert gadget_planarity(d) == is_realizable(d), word
-                checked += 1
-        assert checked == 5941
+        assert assert_gadget_matches_decision(classes_up_to(7)) == 5941
 
     @pytest.mark.parametrize("star", [51, 50])
     def test_large_gadget_under_default_recursion_limit(self, star):
@@ -224,6 +251,23 @@ class TestGadgetOracle:
             assert gadget_planarity(d) == is_realizable(d) == (star % 2 == 1)
         finally:
             sys.setrecursionlimit(limit)
+
+
+class TestGaussParity:
+    def test_fixture_counts(self):
+        # ABAB: each chord has one slot inside it, its partner outside
+        assert not _gauss_parity(parse_word("ABAB"))
+        assert _gauss_parity(parse_word("AABB"))
+        assert _gauss_parity(DIAMETERS) and _gauss_parity(MIXED)
+        # SPAN3 passes the count and is still unrealizable: the gadget decides
+        assert _gauss_parity(SPAN3) and not gadget_planarity(SPAN3)
+
+    def test_matches_parity_check_on_every_pairing_up_to_six(self):
+        every = (GaussDiagram(p) for n in range(1, 7) for p in brute_pairings(2 * n))
+        assert assert_parity_count_matches(every) == 11464
+
+    def test_matches_parity_check_on_every_class_up_to_seven(self):
+        assert assert_parity_count_matches(classes_up_to(7)) == 5941
 
 
 class TestCurveCodes:
