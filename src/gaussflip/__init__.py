@@ -38,7 +38,9 @@ from .diagrams import (
     SlotPartitionError,
     canonical_form,
     canonical_words,
+    class_count,
     enumerate_diagrams,
+    flip_site_count,
     from_chord_pairs,
     interlacement_graph,
     parity_check,
@@ -102,10 +104,12 @@ __all__ = [
     "are_isomorphic",
     "canonical_form",
     "canonical_words",
+    "class_count",
     "curve_code",
     "diagram_from_cycle",
     "enumerate_diagrams",
     "flip_orbit",
+    "flip_site_count",
     "flip_sites",
     "from_chord_pairs",
     "gadget_planarity",

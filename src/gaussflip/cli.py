@@ -44,6 +44,7 @@ from .diagrams import (
     DiagramError,
     GaussDiagram,
     canonical_form,
+    class_count,
     enumerate_diagrams,
     interlacement_graph,
     parity_check,
@@ -65,10 +66,11 @@ from .realize import (
 # orderly generation, against 20-21 s when every pairing was built and
 # filtered.  Each chord more multiplies the class count by about 12.
 ENUMERATE_MAX = 8
-# `verify --max-chords 9 --threads 2` takes 70-72 s on a 2-core host, and
-# 94-107 s with one worker (1,037,443 classes); 8 chords take 5.5-5.9 s
-# and 7.9-8.1 s.  10 chords have 17 times as many classes as 9.
-VERIFY_MAX = 9
+# `verify --max-chords 10 --threads 2` takes 21.6-25.7 s on a 2-core host,
+# and 28-34.5 s with one worker: of its 17,449,143 classes the 93,196 that
+# pass slot parity are checked one by one.  9 chords take 2.3-2.7 s and
+# 3.0-5.0 s.  11 chords have about 10 times as many passing classes as 10.
+VERIFY_MAX = 10
 # `analyze --json` finds the least genus of an unrealizable diagram by
 # tracing all 2^n rotation systems: ABACBC plus isolated chords takes
 # 0.75-1.25 s at 16 chords and 1.6-1.9 s at 17 on a 2-core host.
@@ -297,14 +299,18 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         raise DiagramError(
             f"chord count must be between 1 and {ENUMERATE_MAX}, got {n}"
         )
-    classes = [
-        dict(word=d.word(), realizable=is_realizable(d)) for d in enumerate_diagrams(n)
-    ]
-    total, realizable = len(classes), sum(c["realizable"] for c in classes)
+    if args.realizable_only:
+        # realizable classes pass slot parity, and the others are only counted
+        stream = enumerate_diagrams(n, parity_only=True)
+        classes = [dict(word=d.word(), realizable=True) for d in stream if is_realizable(d)]
+        total, realizable = class_count(n), len(classes)
+    else:
+        classes = [
+            dict(word=d.word(), realizable=is_realizable(d)) for d in enumerate_diagrams(n)
+        ]
+        total, realizable = len(classes), sum(c["realizable"] for c in classes)
     unrealizable = total - realizable
     footer = f"# classes={total} realizable={realizable} unrealizable={unrealizable}"
-    if args.realizable_only:
-        classes = [c for c in classes if c["realizable"]]
     _emit({"chords": n, "classes": classes}, _class_lines(classes, footer), args.json)
     return 0
 

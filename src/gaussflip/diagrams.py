@@ -18,6 +18,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 import string
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
@@ -368,8 +369,16 @@ def parity_check(d: GaussDiagram) -> bool:
     return all((u + v) % 2 == 1 for u, v in d.chord_slots)
 
 
-def enumerate_diagrams(n: int) -> Iterator[GaussDiagram]:
+def enumerate_diagrams(n: int, *, parity_only: bool = False) -> Iterator[GaussDiagram]:
     """Yield one representative per diagram class, ascending canonical word.
+
+    With ``parity_only`` the stream keeps just the classes that pass
+    ``parity_check``, in the same order: a chord is never closed at a slot
+    of the same parity as its first end.  Slot parity is a class property
+    (a rotation by r adds 2r to u + v, a reflection sends it to
+    2r - (u + v)), so a passing class has a passing canonical word, and
+    every prefix of that word closes only passing chords: the pruned tree
+    keeps the path to it.
 
     Orderly generation (McKay, "Isomorph-free exhaustive generation",
     J. Algorithms 26, 1998): first-occurrence-labeled words are grown slot
@@ -417,8 +426,11 @@ def enumerate_diagrams(n: int) -> Iterator[GaussDiagram]:
             return
         new = len(first)
         can_open = new < n and m - t >= len(open_ids) + 2
+        closable = open_ids
+        if parity_only:
+            closable = tuple(x for x in open_ids if (t + first[x]) % 2)
         # ascending ids keep the stream lexicographic
-        for x in open_ids + ((new,) if can_open else ()):
+        for x in closable + ((new,) if can_open else ()):
             seq.append(x)
             if x == new:
                 first.append(t)
@@ -450,6 +462,114 @@ def enumerate_diagrams(n: int) -> Iterator[GaussDiagram]:
                 partner[t] = partner[first[x]] = -1
 
     yield from extend([], (0,), (0,))
+
+
+def _orbit_pairings(c: int, length: int) -> int:
+    """Ways to pair c orbits of one length so that the circle map commutes.
+
+    A pairing fixed by a circle map g sends each orbit of g onto an orbit
+    of the same length L: onto itself by the shift by L/2 (L even), or
+    onto another orbit in L ways, so f(c) = [L even] f(c - 1) +
+    (c - 1) L f(c - 2).  Fixed points (L = 1) pair among themselves.
+    """
+    prev, cur = 0, 1  # f(-1), f(0)
+    for k in range(1, c + 1):
+        prev, cur = cur, (length % 2 == 0) * cur + (k - 1) * length * prev
+    return cur
+
+
+def _circle_maps(n: int) -> Iterator[tuple[int, bool, list[int], list[int]]]:
+    """(weight, is a rotation, slot map, orbit length per slot): the 4n maps, grouped.
+
+    The pairings a rotation by r fixes are those its subgroup fixes, and
+    that subgroup is generated by the rotation by gcd(r, 2n); so one
+    rotation stands for every r of the same gcd, weighted by their number
+    (the gcd 2n is the identity).  A reflection s -> r - s is conjugate to
+    the one with r + 2 by the turn by one slot, so the one with r = 0 and
+    the one with r = 1 stand for n reflections each.
+    """
+    m = 2 * n
+    for d, weight in Counter(math.gcd(r, m) for r in range(m)).items():
+        yield weight, True, [(s + d) % m for s in range(m)], [m // d] * m
+    for r in (0, 1):
+        sizes = [1 if (2 * s - r) % m == 0 else 2 for s in range(m)]
+        yield n, False, [(r - s) % m for s in range(m)], sizes
+
+
+def _fixed_pairings(
+    g: Sequence[int],
+    size: Sequence[int],
+    slots: Counter[int],
+    forced: Iterable[tuple[int, int]] = (),
+) -> int:
+    """How many pairings the slot map ``g`` fixes that pair each forced (a, b).
+
+    ``size`` gives the length of each slot's orbit under g, and ``slots``
+    how many slots lie on orbits of each length.  Pairing a with b in a
+    fixed pairing pairs g(a) with g(b), and so on round both orbits; a
+    slot that would take two partners, or itself, leaves no such pairing.
+    The orbits left untouched are then paired freely, one length at a
+    time.  Nothing is listed: the forced slots' partners sit in a dict,
+    and the rest is a product of counts.
+    """
+    partner: dict[int, int] = {}
+    for a0, b0 in forced:
+        a, b = a0, b0
+        while True:
+            if a == b or partner.setdefault(a, b) != b or partner.setdefault(b, a) != a:
+                return 0
+            a, b = g[a], g[b]
+            if (a, b) == (a0, b0):
+                break
+    taken = Counter(size[s] for s in partner)
+    count = 1
+    for length, total in slots.items():
+        count *= _orbit_pairings((total - taken[length]) // length, length)
+    return count
+
+
+def class_count(n: int) -> int:
+    """Diagram classes with n chords, by Burnside's lemma.
+
+    The classes are the orbits of the 4n rotations and reflections on the
+    (2n - 1)!! pairings, so their number is the average count of pairings
+    a circle map fixes (Cori and Marcus, Theor. Comput. Sci. 204, 1998).
+    """
+    if n < 1:
+        raise DiagramError("chord count must be at least 1")
+    total = sum(
+        w * _fixed_pairings(g, size, Counter(size)) for w, _, g, size in _circle_maps(n)
+    )
+    return total // (4 * n)
+
+
+def flip_site_count(n: int) -> int:
+    """Flip sites summed over one representative of each n-chord class.
+
+    A flip site is a slot i whose chord (i, j) has the next slot's chord at
+    (i + 1, j + 1), a different chord.  Rotations and reflections carry
+    sites to sites, so the count is a class function, and the weighted
+    form of Burnside's lemma sums it: (1/4n) sum over maps g of the sites
+    of the pairings g fixes.  Those are counted site by site, forcing the
+    two chords of each site.  For the identity that is 2n (2n - 3)
+    (2n - 5)!!.  A rotation commutes with the turn by one slot, so each
+    slot carries as many sites as slot 0 among the pairings it fixes.
+    """
+    if n < 1:
+        raise DiagramError("chord count must be at least 1")
+    m = 2 * n
+    total = 0
+    for w, rotation, g, size in _circle_maps(n):
+        slots = Counter(size)
+        starts = (0,) if rotation else range(m)
+        sites = sum(
+            _fixed_pairings(g, size, slots, ((i, j), ((i + 1) % m, (j + 1) % m)))
+            for i in starts
+            for j in range(m)
+            if j != (i + 1) % m
+        )
+        total += w * sites * (m if rotation else 1)
+    return total // (4 * n)
 
 
 def canonical_words(n: int) -> tuple[str, ...]:

@@ -14,11 +14,18 @@ from __future__ import annotations
 
 import os
 from collections import deque
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from itertools import islice
 
-from .diagrams import GaussDiagram, canonical_form, enumerate_diagrams, parse_word
+from .diagrams import (
+    GaussDiagram,
+    canonical_form,
+    class_count,
+    enumerate_diagrams,
+    flip_site_count,
+    parse_word,
+)
 from .realize import _gauss_parity, gadget_planarity, is_realizable, realizable_class
 
 
@@ -219,22 +226,32 @@ def check_word_flips(word: str) -> tuple[int, tuple[FlipCounterexample, ...], bo
     flip that changes realizability has a realizable end.  When a flip
     from here lands on an unrealizable class, that class's canonical word
     is re-checked over all of its sites, and its counterexamples come back
-    too, under its own word; ``verify_flip_theorem`` puts them in sweep
-    order.  The oracle is Gauss's parity count, then the gadget on the
-    classes that pass it: a second derivation of every verdict.
+    too, under its own word.  The oracle is Gauss's parity count, then the
+    gadget on the classes that pass it: a second derivation of every
+    verdict.
     """
     d = parse_word(word)
+    bad, agrees = _check_class(d, word)
+    return len(flip_sites(d)), tuple(bad), agrees
+
+
+def _check_class(d: GaussDiagram, word: str | None = None) -> tuple[list, bool]:
+    """The realizability-changing flips reached from ``d``, and oracle agreement.
+
+    Only a realizable class applies its flips, so only it lists its
+    sites; ``word`` names ``d`` in a counterexample, ``d.word()`` when
+    omitted, spelt only if one is found.
+    """
     before = is_realizable(d)
-    sites = flip_sites(d)
     bad: list[FlipCounterexample] = []
     if before:
-        for site in sites:
+        for site in flip_sites(d):
             flipped = apply_flip(d, site)
             if not is_realizable(flipped):
+                word = word or d.word()
                 bad.append(FlipCounterexample(word, site.i, site.j, True, False))
                 bad += _every_change(canonical_form(flipped))
-    agrees = before == (_gauss_parity(d) and gadget_planarity(d))
-    return len(sites), tuple(bad), agrees
+    return bad, before == (_gauss_parity(d) and gadget_planarity(d))
 
 
 def _every_change(word: str) -> list[FlipCounterexample]:
@@ -249,22 +266,23 @@ def _every_change(word: str) -> list[FlipCounterexample]:
     return bad
 
 
-def _check_chunk(words: list[str]) -> tuple[int, int, list[FlipCounterexample], list[str]]:
-    """One chunk of the sweep: classes, sites, counterexamples, oracle mismatches."""
-    sites = 0
+def _check_chunk(
+    pairings: list[tuple[int, ...]],
+) -> tuple[list[FlipCounterexample], list[str]]:
+    """One chunk of the sweep: its counterexamples and oracle mismatches."""
     bad: list[FlipCounterexample] = []
     mismatches = []
-    for word in words:
-        count, found, agrees = check_word_flips(word)
-        sites += count
+    for pairing in pairings:
+        d = GaussDiagram(pairing)
+        found, agrees = _check_class(d)
         bad += found
         if not agrees:
-            mismatches.append(word)
-    return len(words), sites, bad, mismatches
+            mismatches.append(d.word())
+    return bad, mismatches
 
 
-def _pooled(chunks: Iterator[list[str]], workers: int) -> Iterator[tuple]:
-    """``map(_check_chunk, chunks)`` on a pool that checks while chunks still arrive.
+def _pooled(check: Callable, chunks: Iterator[list], workers: int) -> Iterator:
+    """``map(check, chunks)`` on a pool that checks while chunks still arrive.
 
     At most four chunks per worker are in flight, so the caller's memory
     stays flat however many classes the sweep enumerates.
@@ -275,7 +293,7 @@ def _pooled(chunks: Iterator[list[str]], workers: int) -> Iterator[tuple]:
     with ProcessPoolExecutor(max_workers=workers) as pool:
         window: deque = deque()
         for chunk in chunks:
-            window.append(pool.submit(_check_chunk, chunk))
+            window.append(pool.submit(check, chunk))
             if len(window) > 4 * workers:
                 yield window.popleft().result()
         for future in window:
@@ -285,28 +303,58 @@ def _pooled(chunks: Iterator[list[str]], workers: int) -> Iterator[tuple]:
 def verify_flip_theorem(max_n: int, workers: int = 1) -> FlipTheoremReport:
     """Check flips and oracle agreement over all classes n <= max_n in one pass.
 
-    Classes stream from ``enumerate_diagrams`` in chunks of 128 words, and
-    with more than one worker the pool checks them while this process is
-    still enumerating.  A chunk is a few milliseconds of checking, so the
-    pool's own cost per chunk stays small beside it.  Only running sums
-    and the classes to report are kept.  Counterexamples come back in sweep order, ascending (length,
-    canonical word), then by site.  At most one worker process per CPU is
-    started: the pool starts all of its workers at once, and the report is
-    the same for any count.
+    Only the classes that pass slot parity (``parity_check``) are
+    enumerated, decided, gadget-checked and flipped; the class and site
+    totals come from the closed-form counts ``class_count`` and
+    ``flip_site_count``.  That covers every class:
+
+    * Pruning loses no class that passes.  ``enumerate_diagrams`` with
+      ``parity_only`` yields exactly the canonical words that pass, since
+      slot parity is a class property and every prefix of a passing word
+      stays on the pruned tree.
+    * The passing set is flip-closed.  A site (i, j) of a passing diagram
+      has i + j odd, and its flip sends slot u of the reversed arc to
+      i + j + 1 - u, an even number minus u; a chord with both ends there
+      keeps the parity of u + v, and one with one end there turns u + v
+      into i + j + 1 - u + v, of the same parity again.  So the classes
+      ``_every_change`` re-checks are passing ones, and, a flip being an
+      involution, the failing set is flip-closed too.
+    * A failing class is unrealizable by both derivations, by the same
+      condition: the decision rejects it on ``parity_check`` before
+      anything else, and the oracle's ``_gauss_parity`` count rejects it
+      (of the v - u - 1 slots inside chord (u, v) it leaves out the ends
+      of chords wholly inside, two each, so its count is odd when u + v
+      is even).  A flip
+      from it lands on a failing class, so no flip changes a verdict
+      there: both ends are unrealizable, and by the involution argument
+      of ``check_word_flips`` a realizability-changing flip would have a
+      realizable end, which this sweep checks.
+
+    Classes stream in chunks of 128 pairings, and with more than one
+    worker the pool checks them while this process is still enumerating.
+    Only the classes to report are kept.  Counterexamples come back in
+    sweep order, ascending (length, canonical word), then by site.  At
+    most one worker process per CPU is started: the pool starts all of its
+    workers at once, and the report is the same for any count.
     """
     if max_n < 2:
         raise FlipError(f"max chord count must be at least 2, got {max_n}")
-    words = (d.word() for n in range(1, max_n + 1) for d in enumerate_diagrams(n))
-    chunks = iter(lambda: list(islice(words, 128)), [])
+    sizes = range(1, max_n + 1)
+    pairings = (
+        d.pairing for n in sizes for d in enumerate_diagrams(n, parity_only=True)
+    )
+    chunks = iter(lambda: list(islice(pairings, 128)), [])
     workers = min(workers, os.cpu_count() or 1)
-    results = _pooled(chunks, workers) if workers > 1 else map(_check_chunk, chunks)
-    classes = sites = 0
+    if workers > 1:
+        results = _pooled(_check_chunk, chunks, workers)
+    else:
+        results = map(_check_chunk, chunks)
     bad: set[FlipCounterexample] = set()  # a class re-checked twice reports once
     mismatches: list[str] = []
-    for chunk_classes, chunk_sites, found, wrong in results:
-        classes += chunk_classes
-        sites += chunk_sites
+    for found, wrong in results:
         bad.update(found)
         mismatches += wrong
     order = sorted(bad, key=lambda c: (len(c.word), c.word, c.i))
+    classes = sum(class_count(n) for n in sizes)
+    sites = sum(flip_site_count(n) for n in sizes)
     return FlipTheoremReport(max_n, classes, sites, tuple(order), tuple(mismatches))

@@ -597,10 +597,10 @@ class TestVerify:
         ]
 
     def test_bounds(self, capsys):
-        for args in (["--max-chords", "1"], ["--max-chords", "10"]):
+        for args in (["--max-chords", "1"], ["--max-chords", "11"]):
             code, _, err = run_cli(capsys, "verify", *args)
             assert code == 2
-            assert "between 2 and 9" in err
+            assert "between 2 and 10" in err
         code, _, err = run_cli(capsys, "verify", "--max-chords", "3", "--threads", "0")
         assert code == 2
         assert "positive" in err

@@ -21,7 +21,9 @@ from gaussflip.diagrams import (
     SlotPartitionError,
     canonical_form,
     canonical_words,
+    class_count,
     enumerate_diagrams,
+    flip_site_count,
     from_chord_pairs,
     interlacement_graph,
     parity_check,
@@ -30,6 +32,7 @@ from gaussflip.diagrams import (
     parse_word,
 )
 from gaussflip.diagrams import _chord_names, _symmetries
+from gaussflip.flips import flip_sites
 
 # Five-chord companions used across the suite: all three live on the same
 # cubic graph (see test_cubic) but only the last two bound plane curves.
@@ -38,35 +41,65 @@ WORD_DIAMETERS = "ADBECADBEC"  # five diameters; realizable
 WORD_MIXED_SPANS = "ACDECABDEB"  # realizable, different curve
 
 # Class counts for n = 1..7 under rotation+reflection (OEIS A007769).
-# Confirmed by the brute-force orbit count below up to n = 5 and by
-# ``burnside_class_count`` up to n = 7.
+# Confirmed by the brute-force orbit count below up to n = 5 and by the
+# Burnside count ``class_count`` up to n = 7.
 CLASS_COUNTS = (1, 2, 5, 17, 79, 554, 5283)
 
 
-def burnside_class_count(n: int) -> int:
-    """Chord diagrams on 2n points up to rotation and reflection, by Burnside.
+def parity_class_count(n: int) -> int:
+    """Classes that pass slot parity, by Burnside over the even-odd pairings.
 
-    A pairing fixed by a circle map g commutes with it, so it sends each
-    orbit of g onto an orbit of the same length L: onto itself by the
-    shift by L/2 (L even), or onto another orbit in L ways.  With c orbits
-    of length L that gives f(c) = [L even] f(c - 1) + (c - 1) L f(c - 2).
-    Averaging the fixed pairings over the 2n rotations and 2n reflections
-    counts the classes (Cori and Marcus, Theor. Comput. Sci. 204, 1998).
+    A passing pairing matches the n even slots with the n odd ones.  Under
+    the rotation by r there are d = gcd(r, 2n) orbits of length L = 2n/d.
+    For d even each orbit keeps one parity, and a fixed passing pairing
+    sends each even orbit onto an odd one, in L ways: (d/2)! L^(d/2).  For
+    d odd the orbits alternate parity, and orbit k goes onto orbit k' by a
+    shift s only when k + k' + s is odd: L/2 shifts onto another orbit, and
+    onto itself (s = L/2) only when L/2 is odd.  A reflection s -> r - s
+    with r odd has n orbits {x, r - x} of one even and one odd slot, each
+    paired with itself, or with another orbit in the one of its two ways
+    that joins opposite parities.  With r even the orbits keep one parity,
+    both ways join an even orbit to an odd one, and the two fixed points
+    r/2 and r/2 + n, which must pair up, differ in parity only for n odd.
     """
 
-    def fixed(c: int, length: int) -> int:
+    def fixed(c: int, ways: int, onto_itself: bool) -> int:
         prev, cur = 0, 1  # f(-1), f(0)
         for k in range(1, c + 1):
-            prev, cur = cur, (length % 2 == 0) * cur + (k - 1) * length * prev
+            prev, cur = cur, onto_itself * cur + (k - 1) * ways * prev
         return cur
 
     m = 2 * n
-    rotations = sum(fixed(math.gcd(r, m), m // math.gcd(r, m)) for r in range(m))
-    # n reflections fix two points, which must pair up, and n fix none
-    reflections = n * (fixed(n - 1, 2) + fixed(n, 2))
-    total, rest = divmod(rotations + reflections, 2 * m)
+    total = 0
+    for r in range(m):
+        d = math.gcd(r, m)
+        length = m // d
+        if d % 2 == 0:
+            total += math.factorial(d // 2) * length ** (d // 2)
+        else:
+            total += fixed(d, length // 2, length % 4 == 2)
+    total += n * fixed(n, 1, True)  # the n reflections with r odd
+    if n % 2 == 1:
+        half = (n - 1) // 2
+        total += n * math.factorial(half) * 2**half
+    count, rest = divmod(total, 2 * m)
     assert rest == 0
-    return total
+    return count
+
+
+def assert_pruned_stream_matches(max_n: int) -> int:
+    """The parity-pruned stream is the filtered stream, pairing for pairing.
+
+    Checks 1..max_n chords in the same order, and returns how many
+    classes passed.  CI runs it up to 8 chords.
+    """
+    passed = 0
+    for n in range(1, max_n + 1):
+        pruned = [d.pairing for d in enumerate_diagrams(n, parity_only=True)]
+        kept = [d.pairing for d in enumerate_diagrams(n) if parity_check(d)]
+        assert pruned == kept, n
+        passed += len(pruned)
+    return passed
 
 
 def brute_pairings(m: int) -> list[tuple[int, ...]]:
@@ -470,12 +503,31 @@ class TestEnumeration:
     def test_class_counts(self):
         got = tuple(len(canonical_words(n)) for n in range(1, 8))
         assert got == CLASS_COUNTS
-        assert got == tuple(burnside_class_count(n) for n in range(1, 8))
+        assert got == tuple(class_count(n) for n in range(1, 8))
 
     def test_burnside_counts(self):
-        # the enumerator has reached every one of these; CI checks 65,346
-        got = tuple(burnside_class_count(n) for n in range(1, 10))
-        assert got == CLASS_COUNTS + (65346, 966156)
+        # the enumerator has reached all but the last; CI checks 65,346 and
+        # 966,156, and the last is OEIS A007769's
+        got = tuple(class_count(n) for n in range(1, 11))
+        assert got == CLASS_COUNTS + (65346, 966156, 16411700)
+
+    def test_parity_pruned_stream_is_the_filtered_stream(self):
+        # CI goes to 8 chords
+        assert assert_pruned_stream_matches(7) == 340
+
+    def test_parity_pruned_counts(self):
+        got = tuple(
+            sum(1 for _ in enumerate_diagrams(n, parity_only=True)) for n in range(1, 9)
+        )
+        assert got == (1, 1, 3, 5, 17, 53, 260, 1466)
+        assert got == tuple(parity_class_count(n) for n in range(1, 9))
+
+    def test_flip_site_count(self):
+        for n in range(1, 8):
+            sites = sum(len(flip_sites(d)) for d in enumerate_diagrams(n))
+            assert flip_site_count(n) == sites, n
+        # beyond: the sums the 8-, 9- and 10-chord sweeps report
+        assert [flip_site_count(n) for n in (8, 9, 10)] == [71022, 1028992, 17305914]
 
     def test_matches_filtered_reference(self):
         # same classes in the same order as filtering every pairing
@@ -535,3 +587,6 @@ class TestEnumeration:
             next(enumerate_diagrams(0))
         with pytest.raises(DiagramError):
             next(enumerate_diagrams(-1))
+        for count in (class_count, flip_site_count):
+            with pytest.raises(DiagramError):
+                count(0)

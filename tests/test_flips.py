@@ -7,11 +7,14 @@ import itertools
 import os
 import random
 from collections import Counter
+from contextlib import redirect_stdout
 from dataclasses import replace
+from io import StringIO
+from unittest.mock import patch
 
 import pytest
 
-from gaussflip import flips
+from gaussflip import cli, flips
 from gaussflip.cubic import (
     are_isomorphic,
     diagram_from_cycle,
@@ -22,12 +25,15 @@ from gaussflip.diagrams import (
     GaussDiagram,
     canonical_form,
     canonical_words,
+    enumerate_diagrams,
+    parity_check,
     parse_word,
 )
 from gaussflip.flips import (
     FlipCounterexample,
     FlipError,
     FlipSite,
+    FlipTheoremReport,
     StaleSiteError,
     apply_flip,
     check_word_flips,
@@ -35,7 +41,7 @@ from gaussflip.flips import (
     flip_sites,
     verify_flip_theorem,
 )
-from gaussflip.realize import is_realizable
+from gaussflip.realize import _gauss_parity, is_realizable
 
 SPAN3 = parse_word("AEBACBDCED")
 DIAMETERS = parse_word("ADBECADBEC")
@@ -93,6 +99,70 @@ def all_sites_sweep(max_n):
             if flips.gadget_planarity(d) != before:
                 mismatches.append(word)
     return tuple(bad), tuple(mismatches)
+
+
+def _all_class_chunk(words):
+    """One chunk of the all-class sweep: classes, sites, counterexamples, mismatches."""
+    sites = 0
+    bad: list[FlipCounterexample] = []
+    mismatches = []
+    for word in words:
+        count, found, agrees = check_word_flips(word)
+        sites += count
+        bad += found
+        if not agrees:
+            mismatches.append(word)
+    return len(words), sites, bad, mismatches
+
+
+def all_class_sweep(max_n, workers=1):
+    """Reference sweep: every class streamed, spelt and checked, sites counted.
+
+    The streamed sweep as it was before only the parity-passing classes
+    were enumerated: every class goes through ``check_word_flips`` in
+    chunks of 128 words, through the same serial ``map`` or pool, and the
+    class and site totals are sums over the classes met.
+    """
+    words = (d.word() for n in range(1, max_n + 1) for d in enumerate_diagrams(n))
+    chunks = iter(lambda: list(itertools.islice(words, 128)), [])
+    workers = min(workers, os.cpu_count() or 1)
+    if workers > 1:
+        results = flips._pooled(_all_class_chunk, chunks, workers)
+    else:
+        results = map(_all_class_chunk, chunks)
+    classes = sites = 0
+    bad: set[FlipCounterexample] = set()
+    mismatches: list[str] = []
+    for chunk_classes, chunk_sites, found, wrong in results:
+        classes += chunk_classes
+        sites += chunk_sites
+        bad.update(found)
+        mismatches += wrong
+    order = sorted(bad, key=lambda c: (len(c.word), c.word, c.i))
+    return FlipTheoremReport(max_n, classes, sites, tuple(order), tuple(mismatches))
+
+
+def verify_output(sweep, *argv):
+    """``gaussflip verify`` stdout and exit code, with ``sweep`` behind it."""
+    out = StringIO()
+    with patch.object(cli, "verify_flip_theorem", sweep), redirect_stdout(out):
+        code = cli.main(["verify", *argv])
+    return out.getvalue(), code
+
+
+def assert_sweeps_match(max_n, workers):
+    """``verify``, text and JSON, equals the all-class sweep's for 2..max_n chords.
+
+    Returns the number of outputs compared.  CI runs it up to 8 chords.
+    """
+    compared = 0
+    for n in range(2, max_n + 1):
+        for form in ((), ("--json",)):
+            argv = ("--max-chords", str(n), "--threads", str(workers), *form)
+            want = verify_output(all_class_sweep, *argv)
+            assert verify_output(verify_flip_theorem, *argv) == want, argv
+            compared += 1
+    return compared
 
 
 def random_words(seed, count, max_n):
@@ -313,25 +383,28 @@ class TestTheoremSweep:
         assert report.ok()
 
     def test_workers_match_serial(self):
-        # 658 classes go out in chunks of 128, so the pool must put 6
-        # chunks back in order
-        serial = verify_flip_theorem(6)
-        parallel = verify_flip_theorem(6, workers=2)
-        assert serial.diagrams_checked == 658
+        # 340 of the 5,941 classes pass slot parity and go out in chunks of
+        # 128, so the pool must put 3 chunks back in order
+        serial = verify_flip_theorem(7)
+        parallel = verify_flip_theorem(7, workers=2)
+        assert serial.diagrams_checked == 5941
         assert serial == parallel
 
     def test_workers_keep_sweep_order(self, monkeypatch):
         # two classes that pass the parity count, in different chunks of
         # 128, disagree with the decision; fork workers inherit the patch,
         # and without it the list is empty
-        words = [w for n in range(1, 7) for w in canonical_words(n)]
+        words = [
+            d.word() for n in range(1, 8) for d in enumerate_diagrams(n, parity_only=True)
+        ]
+        assert len(words) == 340
         chosen = (words[1], words[291])
         monkeypatch.setattr(
             flips,
             "gadget_planarity",
             lambda d: is_realizable(d) != (d.word() in chosen),
         )
-        assert verify_flip_theorem(6, workers=2).oracle_mismatches == chosen
+        assert verify_flip_theorem(7, workers=2).oracle_mismatches == chosen
 
     def test_gadget_and_flips_only_where_needed(self, monkeypatch):
         # up to 6 chords: 80 of the 658 classes pass the parity count, and
@@ -353,11 +426,14 @@ class TestTheoremSweep:
         assert report.sites_checked == 820
         assert calls == {"gadget_planarity": 80, "apply_flip": 100}
 
-    # realizable ABCDEABCDE (class 103 of the sweep up to 6 chords) and
-    # unrealizable ABABCDEFCDEF (class 474, another chunk) have flips to
-    # other classes of their own verdict; turning both verdicts makes flips
-    # change realizability in both directions
-    TURNED = ("ABCDEABCDE", "ABABCDEFCDEF")
+    # realizable ABCDEABCDE (class 26 of the parity-passing sweep up to 7
+    # chords) and unrealizable ABCABDEFGCDEFG (class 305, another chunk)
+    # have flips to other classes of their own verdict; turning both
+    # verdicts makes flips change realizability in both directions.  Both
+    # pass slot parity: the sweep never visits a failing class, and need
+    # not, since the real decision rejects every one of them.  Up to 6
+    # chords no unrealizable class that passes has a flip to another class.
+    TURNED = ("ABCDEABCDE", "ABCABDEFGCDEFG")
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_counterexamples_match_all_sites_sweep(self, monkeypatch, workers):
@@ -367,14 +443,31 @@ class TestTheoremSweep:
             "is_realizable",
             lambda d: real(d) != (canonical_form(d) in self.TURNED),
         )
-        bad, mismatches = all_sites_sweep(6)
-        report = verify_flip_theorem(6, workers=workers)
+        bad, mismatches = all_sites_sweep(7)
+        report = verify_flip_theorem(7, workers=workers)
         assert report.counterexamples == bad
         assert report.oracle_mismatches == mismatches == self.TURNED
         # the unrealizable ends come only from re-checking reached classes
         assert {c.before for c in bad} == {True, False}
         assert len({c.word for c in bad}) == 5
         assert not report.ok()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_pruned_sweep_matches_all_class_sweep(self, workers):
+        # byte for byte through the command; CI goes to 8 chords
+        assert assert_sweeps_match(6, workers) == 10
+
+    def test_failing_classes_rejected_by_both_derivations(self):
+        # the sweep counts them without a look: both the decision and the
+        # parity count must reject every class that fails slot parity
+        failing = 0
+        for n in range(1, 8):
+            for d in enumerate_diagrams(n):
+                if not parity_check(d):
+                    failing += 1
+                    assert not is_realizable(d), d.word()
+                    assert not _gauss_parity(d), d.word()
+        assert failing == 5941 - 340
 
     def test_workers_capped_at_cpu_count(self, monkeypatch):
         # the pool starts every worker up front, so a recorder stands in for it
