@@ -66,10 +66,10 @@ from .realize import (
 # orderly generation, against 20-21 s when every pairing was built and
 # filtered.  Each chord more multiplies the class count by about 12.
 ENUMERATE_MAX = 8
-# `verify --max-chords 10 --threads 2` takes 21.6-25.7 s on a 2-core host,
-# and 28-34.5 s with one worker: of its 17,449,143 classes the 93,196 that
-# pass slot parity are checked one by one.  9 chords take 2.3-2.7 s and
-# 3.0-5.0 s.  11 chords have about 10 times as many passing classes as 10.
+# `verify --max-chords 10 --threads 2` takes 17.5-18.6 s on a 2-core host,
+# and 26-41 s with one worker: of its 17,449,143 classes the 93,196 that
+# pass slot parity are checked one by one.  9 chords take 2.0-2.5 s and
+# 2.9-3.1 s.  11 chords have about 10 times as many passing classes as 10.
 VERIFY_MAX = 10
 # `analyze --json` finds the least genus of an unrealizable diagram by
 # tracing all 2^n rotation systems: ABACBC plus isolated chords takes

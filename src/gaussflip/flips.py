@@ -26,7 +26,7 @@ from .diagrams import (
     flip_site_count,
     parse_word,
 )
-from .realize import _gauss_parity, gadget_planarity, is_realizable, realizable_class
+from .realize import gadget_planarity, is_realizable, realizable_class
 
 
 class FlipError(ValueError):
@@ -226,32 +226,12 @@ def check_word_flips(word: str) -> tuple[int, tuple[FlipCounterexample, ...], bo
     flip that changes realizability has a realizable end.  When a flip
     from here lands on an unrealizable class, that class's canonical word
     is re-checked over all of its sites, and its counterexamples come back
-    too, under its own word.  The oracle is Gauss's parity count, then the
-    gadget on the classes that pass it: a second derivation of every
-    verdict.
+    too, under its own word.  The oracle is the gadget: a second
+    derivation of the verdict, whether or not the class passes slot parity.
     """
     d = parse_word(word)
-    bad, agrees = _check_class(d, word)
-    return len(flip_sites(d)), tuple(bad), agrees
-
-
-def _check_class(d: GaussDiagram, word: str | None = None) -> tuple[list, bool]:
-    """The realizability-changing flips reached from ``d``, and oracle agreement.
-
-    Only a realizable class applies its flips, so only it lists its
-    sites; ``word`` names ``d`` in a counterexample, ``d.word()`` when
-    omitted, spelt only if one is found.
-    """
-    before = is_realizable(d)
-    bad: list[FlipCounterexample] = []
-    if before:
-        for site in flip_sites(d):
-            flipped = apply_flip(d, site)
-            if not is_realizable(flipped):
-                word = word or d.word()
-                bad.append(FlipCounterexample(word, site.i, site.j, True, False))
-                bad += _every_change(canonical_form(flipped))
-    return bad, before == (_gauss_parity(d) and gadget_planarity(d))
+    bad, wrong = _check_chunk([d])
+    return len(flip_sites(d)), tuple(bad), not wrong
 
 
 def _every_change(word: str) -> list[FlipCounterexample]:
@@ -267,16 +247,25 @@ def _every_change(word: str) -> list[FlipCounterexample]:
 
 
 def _check_chunk(
-    pairings: list[tuple[int, ...]],
+    diagrams: list[GaussDiagram],
 ) -> tuple[list[FlipCounterexample], list[str]]:
-    """One chunk of the sweep: its counterexamples and oracle mismatches."""
+    """One chunk of the sweep: its counterexamples and oracle mismatches.
+
+    Each class is decided once and its verdict compared with the gadget's.
+    Only a realizable class lists, applies and decides its flips; a class
+    is spelt only when it is reported.
+    """
     bad: list[FlipCounterexample] = []
     mismatches = []
-    for pairing in pairings:
-        d = GaussDiagram(pairing)
-        found, agrees = _check_class(d)
-        bad += found
-        if not agrees:
+    for d in diagrams:
+        before = is_realizable(d)
+        if before:
+            for site in flip_sites(d):
+                flipped = apply_flip(d, site)
+                if not is_realizable(flipped):
+                    bad.append(FlipCounterexample(d.word(), site.i, site.j, True, False))
+                    bad += _every_change(canonical_form(flipped))
+        if before != gadget_planarity(d):
             mismatches.append(d.word())
     return bad, mismatches
 
@@ -319,31 +308,32 @@ def verify_flip_theorem(max_n: int, workers: int = 1) -> FlipTheoremReport:
       into i + j + 1 - u + v, of the same parity again.  So the classes
       ``_every_change`` re-checks are passing ones, and, a flip being an
       involution, the failing set is flip-closed too.
-    * A failing class is unrealizable by both derivations, by the same
-      condition: the decision rejects it on ``parity_check`` before
-      anything else, and the oracle's ``_gauss_parity`` count rejects it
-      (of the v - u - 1 slots inside chord (u, v) it leaves out the ends
-      of chords wholly inside, two each, so its count is odd when u + v
-      is even).  A flip
-      from it lands on a failing class, so no flip changes a verdict
-      there: both ends are unrealizable, and by the involution argument
-      of ``check_word_flips`` a realizability-changing flip would have a
+    * A failing class is unrealizable by two derivations, by the same
+      condition, so the sweep never enumerates it: the decision rejects
+      it on ``parity_check`` before anything else, and Gauss's parity
+      count ``realize._gauss_parity``, whose Jordan-curve proof makes it
+      unrealizable, rejects it too (of the v - u - 1 slots inside chord
+      (u, v) it leaves out the ends of chords wholly inside, two each, so
+      its count is odd when u + v is even).  A flip from it lands on a
+      failing class, so no flip changes a verdict there: both ends are
+      unrealizable, and by the involution argument of
+      ``check_word_flips`` a realizability-changing flip would have a
       realizable end, which this sweep checks.
 
-    Classes stream in chunks of 128 pairings, and with more than one
-    worker the pool checks them while this process is still enumerating.
-    Only the classes to report are kept.  Counterexamples come back in
-    sweep order, ascending (length, canonical word), then by site.  At
-    most one worker process per CPU is started: the pool starts all of its
-    workers at once, and the report is the same for any count.
+    Classes stream in chunks of 128 diagrams as ``enumerate_diagrams``
+    built them, so the serial sweep builds no class twice and a pool
+    worker unpickles them without validating them again.  With more than
+    one worker the pool checks chunks while this process is still
+    enumerating.  Only the classes to report are kept.  Counterexamples
+    come back in sweep order, ascending (length, canonical word), then by
+    site.  At most one worker process per CPU is started: the pool starts
+    all of its workers at once, and the report is the same for any count.
     """
     if max_n < 2:
         raise FlipError(f"max chord count must be at least 2, got {max_n}")
     sizes = range(1, max_n + 1)
-    pairings = (
-        d.pairing for n in sizes for d in enumerate_diagrams(n, parity_only=True)
-    )
-    chunks = iter(lambda: list(islice(pairings, 128)), [])
+    diagrams = (d for n in sizes for d in enumerate_diagrams(n, parity_only=True))
+    chunks = iter(lambda: list(islice(diagrams, 128)), [])
     workers = min(workers, os.cpu_count() or 1)
     if workers > 1:
         results = _pooled(_check_chunk, chunks, workers)

@@ -74,10 +74,11 @@ Its planarity is decided by the left-right test of ``planarity``, which
 stays independent of the forest decision: it sees only an ordinary
 graph, never chords or interlacement, shares no code with
 ``_plane_key``, and is itself checked against networkx in the tests.
-``verify`` gates it with ``_gauss_parity``, Gauss's parity condition
-counted on the raw pairing: a diagram that fails the count is
-unrealizable by a Jordan-curve argument, so only the others need the
-gadget.
+``verify`` shows it every class it enumerates.  ``_gauss_parity`` counts
+Gauss's parity condition on the raw pairing: a diagram that fails the
+count is unrealizable by a Jordan-curve argument.  It is the same
+condition as slot parity, so the classes ``verify`` never enumerates are
+unrealizable by this count too.
 """
 
 from __future__ import annotations
@@ -352,14 +353,14 @@ def gadget_planarity(d: GaussDiagram) -> bool:
 
 
 def _gauss_parity(d: GaussDiagram) -> bool:
-    """Gauss's parity condition, counted on the raw pairing: the gadget's gate.
+    """Gauss's parity condition, counted on the raw pairing.
 
     For each chord at slots u < v, count the slots strictly between u and
     v whose partner lies outside that stretch; a realizable diagram has
     every count even.  The count reads ``d.pairing`` alone and shares no
-    code with ``parity_check`` or ``interlacement_masks``, so ``verify``
-    can send only the diagrams that pass it to ``gadget_planarity`` and
-    still derive every verdict twice.
+    code with ``parity_check`` or ``interlacement_masks``, so it is a
+    second derivation of the verdict on the classes that fail slot
+    parity, which ``verify`` counts in closed form and never enumerates.
 
     Necessity.  Take a plane curve drawing d and split it at the crossing
     x of chord (u, v) into two closed loops: A runs along the slots from u

@@ -575,7 +575,7 @@ class TestVerify:
 
     def test_oracle_mismatch_fails(self, capsys, monkeypatch):
         # a gadget oracle that calls AABB non-planar disagrees with the
-        # decision; ABAB fails the parity count, so the gadget never sees it
+        # decision; ABAB fails slot parity, so the sweep never enumerates it
         real = flips.gadget_planarity
         monkeypatch.setattr(
             flips,

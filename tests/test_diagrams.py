@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import pickle
 import random
 import sys
 import tracemalloc
@@ -334,6 +335,23 @@ class TestParsing:
     def test_malformed_pairings_raise_diagram_errors(self, pairing):
         with pytest.raises(DiagramError):
             GaussDiagram(pairing)
+
+    def test_pickle_round_trip(self, monkeypatch):
+        # verify's pool ships diagrams to its workers as pickles
+        fresh = parse_word("XAYBXCBAYC")
+        cached = parse_word("ACDECABDEB")
+        cached.interlacement_masks  # fills chord_of and chord_slots too
+        for d in (fresh, cached):
+            blob = pickle.dumps(d)
+            with monkeypatch.context() as m:
+                # loading fills the fields without validating them again
+                m.setattr(GaussDiagram, "__post_init__", None)
+                back = pickle.loads(blob)
+            assert back == d
+            assert (back.pairing, back.labels, back.n) == (d.pairing, d.labels, d.n)
+            twin = GaussDiagram(d.pairing, d.labels)
+            assert back.chord_slots == twin.chord_slots
+            assert back.interlacement_masks == twin.interlacement_masks
 
     def test_label_count_and_distinctness(self):
         with pytest.raises(DiagramError, match="1 labels for 2 chords"):

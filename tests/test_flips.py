@@ -365,7 +365,7 @@ class TestTheoremSweep:
 
     def test_oracle_mismatch_is_not_ok(self, monkeypatch):
         # a gadget oracle that calls AABB non-planar disagrees with the
-        # decision; ABAB fails the parity count, so the gadget never sees it
+        # decision; ABAB fails slot parity, so the sweep never enumerates it
         real = flips.gadget_planarity
         monkeypatch.setattr(
             flips, "gadget_planarity", lambda d: d.word() != "AABB" and real(d)
@@ -391,7 +391,7 @@ class TestTheoremSweep:
         assert serial == parallel
 
     def test_workers_keep_sweep_order(self, monkeypatch):
-        # two classes that pass the parity count, in different chunks of
+        # two classes that pass slot parity, in different chunks of
         # 128, disagree with the decision; fork workers inherit the patch,
         # and without it the list is empty
         words = [
@@ -407,24 +407,30 @@ class TestTheoremSweep:
         assert verify_flip_theorem(7, workers=2).oracle_mismatches == chosen
 
     def test_gadget_and_flips_only_where_needed(self, monkeypatch):
-        # up to 6 chords: 80 of the 658 classes pass the parity count, and
-        # the 68 realizable ones apply 100 of the 820 flips
+        # up to 6 chords: 80 of the 658 classes pass slot parity, and the
+        # 68 realizable ones apply 100 of the 820 flips; each diagram is
+        # built once, as the enumeration yields it or a flip makes it
         calls = Counter()
 
-        def counting(name):
-            real = getattr(flips, name)
+        def counting(owner, name):
+            real = getattr(owner, name)
 
             def wrapper(*args):
                 calls[name] += 1
                 return real(*args)
 
-            monkeypatch.setattr(flips, name, wrapper)
+            monkeypatch.setattr(owner, name, wrapper)
 
-        counting("gadget_planarity")
-        counting("apply_flip")
+        counting(flips, "gadget_planarity")
+        counting(flips, "apply_flip")
+        counting(GaussDiagram, "__post_init__")
         report = verify_flip_theorem(6)
         assert report.sites_checked == 820
-        assert calls == {"gadget_planarity": 80, "apply_flip": 100}
+        assert calls == {
+            "gadget_planarity": 80,
+            "apply_flip": 100,
+            "__post_init__": 180,
+        }
 
     # realizable ABCDEABCDE (class 26 of the parity-passing sweep up to 7
     # chords) and unrealizable ABCABDEFGCDEFG (class 305, another chunk)
@@ -503,3 +509,5 @@ class TestTheoremSweep:
         assert sites == 10
         assert bad == ()
         assert agrees is True
+        # fails slot parity: no flip applied, and the gadget agrees
+        assert check_word_flips("ABAB") == (4, (), True)

@@ -84,9 +84,9 @@ REALIZABLE_COUNTS = (1, 1, 3, 5, 15, 43, 172)
 def assert_gadget_matches_decision(cases: Iterable[GaussDiagram]) -> int:
     """``gadget_planarity`` against ``is_realizable``; returns how many were compared.
 
-    ``verify`` sends only the classes that pass the parity count to the
-    gadget, so CI runs this on every class up to 8 chords, where the test
-    suite stops at 7.
+    ``verify`` enumerates only the classes that pass slot parity, so the
+    gadget sees no failing class there; CI runs this on every class up to
+    8 chords, where the test suite stops at 7.
     """
     checked = 0
     for d in cases:
