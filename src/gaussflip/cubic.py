@@ -178,9 +178,15 @@ def hamiltonian_cycles(g: CubicGraph) -> list[HamCycle]:
     more edge).  So when one off-path neighbor of w is below 2, it is the
     only step left, and when two are, none is.  A cycle through a dropped
     step would need an edge to an inside vertex, so no cycle is lost.
+
+    The search tries each vertex's neighbors in ascending order, so it
+    meets whole paths in lexicographic order, and it emits a cycle only
+    from vertex 0 with ``path[1]`` below the last vertex, which is the
+    cycle's stored form: the list comes out sorted with no sort.  A cubic
+    graph on two vertices is the triple edge, since loops are refused.
     """
     if g.m == 2:
-        return [HamCycle((0, 1))] if g.multiplicity(0, 1) >= 2 else []
+        return [HamCycle((0, 1))]
     nbrs = g.neighbor_sets
     free = [len(s) for s in nbrs]
     on_path = [False] * g.m
@@ -220,7 +226,6 @@ def hamiltonian_cycles(g: CubicGraph) -> list[HamCycle]:
         elif low is not None:
             steps = [low]
         stack.append(iter(steps))
-    out.sort(key=lambda h: h.vertices)
     return out
 
 

@@ -220,30 +220,14 @@ class FlipTheoremReport:
 def check_word_flips(word: str) -> tuple[int, tuple[FlipCounterexample, ...], bool]:
     """Sites counted, realizability-changing flips, and whether the oracles agree.
 
-    Every site of the class is counted, but the flips are applied and
-    decided from the realizable end only: an unrealizable class returns no
-    counterexamples of its own.  A flip is an involution on classes, so a
-    flip that changes realizability has a realizable end.  When a flip
-    from here lands on an unrealizable class, that class's canonical word
-    is re-checked over all of its sites, and its counterexamples come back
-    too, under its own word.  The oracle is the gadget: a second
+    Every site of the class is counted; the flips are checked as
+    ``_check_chunk`` checks them, so an unrealizable class returns no
+    counterexamples of its own.  The oracle is the gadget: a second
     derivation of the verdict, whether or not the class passes slot parity.
     """
     d = parse_word(word)
     bad, wrong = _check_chunk([d])
     return len(flip_sites(d)), tuple(bad), not wrong
-
-
-def _every_change(word: str) -> list[FlipCounterexample]:
-    """The flips of class ``word``, at every site, that change its verdict."""
-    d = parse_word(word)
-    before = is_realizable(d)
-    bad = []
-    for site in flip_sites(d):
-        after = is_realizable(apply_flip(d, site))
-        if after != before:
-            bad.append(FlipCounterexample(word, site.i, site.j, before, after))
-    return bad
 
 
 def _check_chunk(
@@ -252,19 +236,27 @@ def _check_chunk(
     """One chunk of the sweep: its counterexamples and oracle mismatches.
 
     Each class is decided once and its verdict compared with the gadget's.
-    Only a realizable class lists, applies and decides its flips; a class
-    is spelt only when it is reported.
+    Only a realizable class lists, applies and decides its flips.  A flip
+    is an involution on classes, so a flip that changes realizability has
+    a realizable end.  When a flip from here lands on an unrealizable
+    class, that class joins the queue with the verdict the flip gave it,
+    since realizability is a class property, and all of its sites are
+    checked too; its counterexamples come under its own canonical word.
+    A class is spelt only when it is reported.
     """
     bad: list[FlipCounterexample] = []
     mismatches = []
     for d in diagrams:
         before = is_realizable(d)
-        if before:
-            for site in flip_sites(d):
-                flipped = apply_flip(d, site)
-                if not is_realizable(flipped):
-                    bad.append(FlipCounterexample(d.word(), site.i, site.j, True, False))
-                    bad += _every_change(canonical_form(flipped))
+        queue = [(d, True)] if before else []
+        for e, verdict in queue:  # d, then each unrealizable class its flips reach
+            for site in flip_sites(e):
+                flipped = apply_flip(e, site)
+                if is_realizable(flipped) != verdict:
+                    change = FlipCounterexample(e.word(), site.i, site.j, verdict, not verdict)
+                    bad.append(change)
+                    if verdict:
+                        queue.append((parse_word(canonical_form(flipped)), False))
         if before != gadget_planarity(d):
             mismatches.append(d.word())
     return bad, mismatches
@@ -306,8 +298,8 @@ def verify_flip_theorem(max_n: int, workers: int = 1) -> FlipTheoremReport:
       i + j + 1 - u, an even number minus u; a chord with both ends there
       keeps the parity of u + v, and one with one end there turns u + v
       into i + j + 1 - u + v, of the same parity again.  So the classes
-      ``_every_change`` re-checks are passing ones, and, a flip being an
-      involution, the failing set is flip-closed too.
+      that ``_check_chunk``'s flips reach are passing ones, and, a flip
+      being an involution, the failing set is flip-closed too.
     * A failing class is unrealizable by two derivations, by the same
       condition, so the sweep never enumerates it: the decision rejects
       it on ``parity_check`` before anything else, and Gauss's parity
@@ -316,9 +308,9 @@ def verify_flip_theorem(max_n: int, workers: int = 1) -> FlipTheoremReport:
       (u, v) it leaves out the ends of chords wholly inside, two each, so
       its count is odd when u + v is even).  A flip from it lands on a
       failing class, so no flip changes a verdict there: both ends are
-      unrealizable, and by the involution argument of
-      ``check_word_flips`` a realizability-changing flip would have a
-      realizable end, which this sweep checks.
+      unrealizable, and by the involution argument of ``_check_chunk``
+      a realizability-changing flip would have a realizable end, which
+      this sweep checks.
 
     Classes stream in chunks of 128 diagrams as ``enumerate_diagrams``
     built them, so the serial sweep builds no class twice and a pool

@@ -391,20 +391,23 @@ class TestTheoremSweep:
         assert serial == parallel
 
     def test_workers_keep_sweep_order(self, monkeypatch):
-        # two classes that pass slot parity, in different chunks of
-        # 128, disagree with the decision; fork workers inherit the patch,
-        # and without it the list is empty
+        # two classes that pass slot parity, in the first and last of 15
+        # chunks of 128, disagree with the decision; fork workers inherit
+        # the patch, and without it the list is empty.  Two workers keep at
+        # most 8 chunks in flight, so 7 results come back while chunks are
+        # still being sent, and the pool's window must keep them in order
         words = [
-            d.word() for n in range(1, 8) for d in enumerate_diagrams(n, parity_only=True)
+            d.word() for n in range(1, 9) for d in enumerate_diagrams(n, parity_only=True)
         ]
-        assert len(words) == 340
-        chosen = (words[1], words[291])
+        assert len(words) == 1806
+        chosen = (words[1], words[1790])
         monkeypatch.setattr(
             flips,
             "gadget_planarity",
             lambda d: is_realizable(d) != (d.word() in chosen),
         )
-        assert verify_flip_theorem(7, workers=2).oracle_mismatches == chosen
+        for workers in (1, 2):
+            assert verify_flip_theorem(8, workers=workers).oracle_mismatches == chosen
 
     def test_gadget_and_flips_only_where_needed(self, monkeypatch):
         # up to 6 chords: 80 of the 658 classes pass slot parity, and the
@@ -444,13 +447,21 @@ class TestTheoremSweep:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_counterexamples_match_all_sites_sweep(self, monkeypatch, workers):
         real = flips.is_realizable
-        monkeypatch.setattr(
-            flips,
-            "is_realizable",
-            lambda d: real(d) != (canonical_form(d) in self.TURNED),
-        )
+        decided = []
+
+        def turned(d):
+            decided.append(d)
+            return real(d) != (canonical_form(d) in self.TURNED)
+
+        monkeypatch.setattr(flips, "is_realizable", turned)
         bad, mismatches = all_sites_sweep(7)
+        decided.clear()
         report = verify_flip_theorem(7, workers=workers)
+        if workers == 1:  # pool workers decide in their own processes
+            # the 340 classes, the 418 flips of the realizable ones, and the
+            # 44 flips of the 8 unrealizable classes those flips reach: each
+            # reached class takes its flip's verdict and is not decided again
+            assert len(decided) == 340 + 418 + 44
         assert report.counterexamples == bad
         assert report.oracle_mismatches == mismatches == self.TURNED
         # the unrealizable ends come only from re-checking reached classes
