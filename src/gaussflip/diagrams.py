@@ -65,9 +65,11 @@ class GaussDiagram:
     ``pairing[s]`` is the slot sharing a chord with slot ``s``; the chord
     count ``n`` is read from its length.  ``labels`` maps chord id
     (first-occurrence order) to a display name, generated letters when
-    omitted.  Equality and hashing rest on the pairing alone, so diagrams
-    compare by shape, not by how they were spelt.  An odd number of slots
-    has no fixed-point-free involution, so the slot checks reject it.
+    omitted.  A given label must be non-empty and free of whitespace, so
+    that ``word()`` parses back; both fields are stored as tuples.
+    Equality and hashing rest on the pairing alone, so diagrams compare
+    by shape, not by how they were spelt.  An odd number of slots has no
+    fixed-point-free involution, so the slot checks reject it.
     """
 
     pairing: tuple[int, ...]
@@ -75,6 +77,7 @@ class GaussDiagram:
     n: int = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "pairing", tuple(self.pairing))
         m = len(self.pairing)
         object.__setattr__(self, "n", m // 2)
         if self.n < 1:
@@ -88,6 +91,10 @@ class GaussDiagram:
                 raise DiagramError(f"pairing is not an involution at slot {s}")
         if not self.labels:
             object.__setattr__(self, "labels", _chord_names(self.n))
+        elif " ".join(self.labels).split() != list(self.labels):
+            raise DiagramError("chord labels must be non-empty, without whitespace")
+        else:
+            object.__setattr__(self, "labels", tuple(self.labels))
         if len(self.labels) != self.n:
             raise DiagramError(
                 f"{len(self.labels)} labels for {self.n} chords"

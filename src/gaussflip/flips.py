@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import os
 from collections import deque
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
-from itertools import islice
 
 from .diagrams import (
     GaussDiagram,
@@ -221,21 +220,19 @@ def check_word_flips(word: str) -> tuple[int, tuple[FlipCounterexample, ...], bo
     """Sites counted, realizability-changing flips, and whether the oracles agree.
 
     Every site of the class is counted; the flips are checked as
-    ``_check_chunk`` checks them, so an unrealizable class returns no
+    ``_check_class`` checks them, so an unrealizable class returns no
     counterexamples of its own.  The oracle is the gadget: a second
     derivation of the verdict, whether or not the class passes slot parity.
     """
     d = parse_word(word)
-    bad, wrong = _check_chunk([d])
+    bad, wrong = _check_class(d)
     return len(flip_sites(d)), tuple(bad), not wrong
 
 
-def _check_chunk(
-    diagrams: list[GaussDiagram],
-) -> tuple[list[FlipCounterexample], list[str]]:
-    """One chunk of the sweep: its counterexamples and oracle mismatches.
+def _check_class(d: GaussDiagram) -> tuple[list[FlipCounterexample], list[str]]:
+    """One class of the sweep: its counterexamples and oracle mismatch.
 
-    Each class is decided once and its verdict compared with the gadget's.
+    The class is decided once and its verdict compared with the gadget's.
     Only a realizable class lists, applies and decides its flips.  A flip
     is an involution on classes, so a flip that changes realizability has
     a realizable end.  When a flip from here lands on an unrealizable
@@ -245,40 +242,30 @@ def _check_chunk(
     A class is spelt only when it is reported.
     """
     bad: list[FlipCounterexample] = []
-    mismatches = []
-    for d in diagrams:
-        before = is_realizable(d)
-        queue = [(d, True)] if before else []
-        for e, verdict in queue:  # d, then each unrealizable class its flips reach
-            for site in flip_sites(e):
-                flipped = apply_flip(e, site)
-                if is_realizable(flipped) != verdict:
-                    change = FlipCounterexample(e.word(), site.i, site.j, verdict, not verdict)
-                    bad.append(change)
-                    if verdict:
-                        queue.append((parse_word(canonical_form(flipped)), False))
-        if before != gadget_planarity(d):
-            mismatches.append(d.word())
-    return bad, mismatches
+    before = is_realizable(d)
+    queue = [(d, True)] if before else []
+    for e, verdict in queue:  # d, then each unrealizable class its flips reach
+        for site in flip_sites(e):
+            flipped = apply_flip(e, site)
+            if is_realizable(flipped) != verdict:
+                bad.append(FlipCounterexample(e.word(), site.i, site.j, verdict, not verdict))
+                if verdict:
+                    queue.append((parse_word(canonical_form(flipped)), False))
+    return bad, [] if before == gadget_planarity(d) else [d.word()]
 
 
-def _pooled(check: Callable, chunks: Iterator[list], workers: int) -> Iterator:
-    """``map(check, chunks)`` on a pool that checks while chunks still arrive.
+def _pooled(check: Callable, items: Iterable, workers: int) -> Iterator:
+    """``map(check, items)`` on a pool that checks while items still arrive.
 
-    At most four chunks per worker are in flight, so the caller's memory
-    stays flat however many classes the sweep enumerates.
+    The pool sends items in batches of 128 and yields results in order.
+    Its task thread blocks while the pipe to the workers is full, so the
+    caller's memory stays flat however many items ``items`` yields.
     """
     # imported here, so that no other command loads multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import Pool
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        window: deque = deque()
-        for chunk in chunks:
-            window.append(pool.submit(check, chunk))
-            if len(window) > 4 * workers:
-                yield window.popleft().result()
-        for future in window:
-            yield future.result()
+    with Pool(workers) as pool:
+        yield from pool.imap(check, items, chunksize=128)
 
 
 def verify_flip_theorem(max_n: int, workers: int = 1) -> FlipTheoremReport:
@@ -298,7 +285,7 @@ def verify_flip_theorem(max_n: int, workers: int = 1) -> FlipTheoremReport:
       i + j + 1 - u, an even number minus u; a chord with both ends there
       keeps the parity of u + v, and one with one end there turns u + v
       into i + j + 1 - u + v, of the same parity again.  So the classes
-      that ``_check_chunk``'s flips reach are passing ones, and, a flip
+      that ``_check_class``'s flips reach are passing ones, and, a flip
       being an involution, the failing set is flip-closed too.
     * A failing class is unrealizable by two derivations, by the same
       condition, so the sweep never enumerates it: the decision rejects
@@ -308,29 +295,29 @@ def verify_flip_theorem(max_n: int, workers: int = 1) -> FlipTheoremReport:
       (u, v) it leaves out the ends of chords wholly inside, two each, so
       its count is odd when u + v is even).  A flip from it lands on a
       failing class, so no flip changes a verdict there: both ends are
-      unrealizable, and by the involution argument of ``_check_chunk``
+      unrealizable, and by the involution argument of ``_check_class``
       a realizability-changing flip would have a realizable end, which
       this sweep checks.
 
-    Classes stream in chunks of 128 diagrams as ``enumerate_diagrams``
-    built them, so the serial sweep builds no class twice and a pool
-    worker unpickles them without validating them again.  With more than
-    one worker the pool checks chunks while this process is still
-    enumerating.  Only the classes to report are kept.  Counterexamples
-    come back in sweep order, ascending (length, canonical word), then by
-    site.  At most one worker process per CPU is started: the pool starts
-    all of its workers at once, and the report is the same for any count.
+    Classes stream one at a time as ``enumerate_diagrams`` built them,
+    so the serial sweep builds no class twice and a pool worker unpickles
+    them without validating them again.  With more than one worker,
+    ``_pooled`` checks classes while the pool's task thread is still
+    enumerating them.  Only the classes to report are kept.
+    Counterexamples come back in sweep order, ascending (length,
+    canonical word), then by site.  At most one worker process per CPU is
+    started: the pool starts all of its workers at once, and the report
+    is the same for any count.
     """
     if max_n < 2:
         raise FlipError(f"max chord count must be at least 2, got {max_n}")
     sizes = range(1, max_n + 1)
     diagrams = (d for n in sizes for d in enumerate_diagrams(n, parity_only=True))
-    chunks = iter(lambda: list(islice(diagrams, 128)), [])
     workers = min(workers, os.cpu_count() or 1)
     if workers > 1:
-        results = _pooled(_check_chunk, chunks, workers)
+        results = _pooled(_check_class, diagrams, workers)
     else:
-        results = map(_check_chunk, chunks)
+        results = map(_check_class, diagrams)
     bad: set[FlipCounterexample] = set()  # a class re-checked twice reports once
     mismatches: list[str] = []
     for found, wrong in results:

@@ -353,6 +353,18 @@ class TestParsing:
             assert back.chord_slots == twin.chord_slots
             assert back.interlacement_masks == twin.interlacement_masks
 
+    def test_lists_are_stored_as_tuples(self):
+        d = GaussDiagram([1, 0, 3, 2], ["X", "Y"])
+        assert (d.pairing, d.labels) == ((1, 0, 3, 2), ("X", "Y"))
+        assert d == GaussDiagram((1, 0, 3, 2))
+        assert hash(d) == hash(GaussDiagram((1, 0, 3, 2)))
+
+    def test_labels_that_cannot_spell_back_raise(self):
+        # spelt, these would read "x y x y" (2 chords) and " B  B" (BB)
+        for tokens in (["x y", "x y"], ["", "B", "", "B"], ["A", "B\t", "A", "B\t"]):
+            with pytest.raises(DiagramError, match="whitespace"):
+                GaussDiagram.from_tokens(tokens)
+
     def test_label_count_and_distinctness(self):
         with pytest.raises(DiagramError, match="1 labels for 2 chords"):
             GaussDiagram((2, 3, 0, 1), ("A",))

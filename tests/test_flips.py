@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-import concurrent.futures
 import itertools
+import multiprocessing
 import os
 import random
 from collections import Counter
@@ -101,43 +101,34 @@ def all_sites_sweep(max_n):
     return tuple(bad), tuple(mismatches)
 
 
-def _all_class_chunk(words):
-    """One chunk of the all-class sweep: classes, sites, counterexamples, mismatches."""
-    sites = 0
-    bad: list[FlipCounterexample] = []
-    mismatches = []
-    for word in words:
-        count, found, agrees = check_word_flips(word)
-        sites += count
-        bad += found
-        if not agrees:
-            mismatches.append(word)
-    return len(words), sites, bad, mismatches
+def _word_and_check(word):
+    """A class's word and its ``check_word_flips`` result: one pool task."""
+    return word, check_word_flips(word)
 
 
 def all_class_sweep(max_n, workers=1):
     """Reference sweep: every class streamed, spelt and checked, sites counted.
 
     The streamed sweep as it was before only the parity-passing classes
-    were enumerated: every class goes through ``check_word_flips`` in
-    chunks of 128 words, through the same serial ``map`` or pool, and the
-    class and site totals are sums over the classes met.
+    were enumerated: every class goes through ``check_word_flips``, one
+    word per call through the same serial ``map`` or pool, and the class
+    and site totals are sums over the classes met.
     """
     words = (d.word() for n in range(1, max_n + 1) for d in enumerate_diagrams(n))
-    chunks = iter(lambda: list(itertools.islice(words, 128)), [])
     workers = min(workers, os.cpu_count() or 1)
     if workers > 1:
-        results = flips._pooled(_all_class_chunk, chunks, workers)
+        results = flips._pooled(_word_and_check, words, workers)
     else:
-        results = map(_all_class_chunk, chunks)
+        results = map(_word_and_check, words)
     classes = sites = 0
     bad: set[FlipCounterexample] = set()
     mismatches: list[str] = []
-    for chunk_classes, chunk_sites, found, wrong in results:
-        classes += chunk_classes
-        sites += chunk_sites
+    for word, (count, found, agrees) in results:
+        classes += 1
+        sites += count
         bad.update(found)
-        mismatches += wrong
+        if not agrees:
+            mismatches.append(word)
     order = sorted(bad, key=lambda c: (len(c.word), c.word, c.i))
     return FlipTheoremReport(max_n, classes, sites, tuple(order), tuple(mismatches))
 
@@ -383,24 +374,25 @@ class TestTheoremSweep:
         assert report.ok()
 
     def test_workers_match_serial(self):
-        # 340 of the 5,941 classes pass slot parity and go out in chunks of
-        # 128, so the pool must put 3 chunks back in order
+        # 340 of the 5,941 classes pass slot parity and go to the pool in 3
+        # batches of up to 128, which imap must put back in order
         serial = verify_flip_theorem(7)
         parallel = verify_flip_theorem(7, workers=2)
         assert serial.diagrams_checked == 5941
         assert serial == parallel
 
     def test_workers_keep_sweep_order(self, monkeypatch):
-        # two classes that pass slot parity, in the first and last of 15
-        # chunks of 128, disagree with the decision; fork workers inherit
-        # the patch, and without it the list is empty.  Two workers keep at
-        # most 8 chunks in flight, so 7 results come back while chunks are
-        # still being sent, and the pool's window must keep them in order
+        # one class that passes slot parity in each of the 15 batches of
+        # 128 disagrees with the decision; fork workers inherit the patch,
+        # and without it the list is empty.  The batches pickle to 129 KB
+        # in all, more than the pipe to the workers holds, so results come
+        # back while batches are still being sent, and imap must keep them
+        # in order (imap_unordered failed here in 14 of 15 runs)
         words = [
             d.word() for n in range(1, 9) for d in enumerate_diagrams(n, parity_only=True)
         ]
         assert len(words) == 1806
-        chosen = (words[1], words[1790])
+        chosen = tuple(words[1::128])
         monkeypatch.setattr(
             flips,
             "gadget_planarity",
@@ -436,7 +428,7 @@ class TestTheoremSweep:
         }
 
     # realizable ABCDEABCDE (class 26 of the parity-passing sweep up to 7
-    # chords) and unrealizable ABCABDEFGCDEFG (class 305, another chunk)
+    # chords) and unrealizable ABCABDEFGCDEFG (class 305, another batch)
     # have flips to other classes of their own verdict; turning both
     # verdicts makes flips change realizability in both directions.  Both
     # pass slot parity: the sweep never visits a failing class, and need
@@ -491,8 +483,8 @@ class TestTheoremSweep:
         pools = []
 
         class RecordingPool:
-            def __init__(self, max_workers):
-                pools.append(max_workers)
+            def __init__(self, processes):
+                pools.append(processes)
 
             def __enter__(self):
                 return self
@@ -500,13 +492,11 @@ class TestTheoremSweep:
             def __exit__(self, *exc):
                 return False
 
-            def submit(self, fn, *args):
-                future = concurrent.futures.Future()
-                future.set_result(fn(*args))
-                return future
+            def imap(self, fn, items, chunksize=1):
+                return map(fn, items)
 
         # verify imports the pool only when it starts one
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
         serial = verify_flip_theorem(3, workers=1)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         assert verify_flip_theorem(3, workers=10**6) == serial
