@@ -15,12 +15,16 @@ only), 2 malformed input (or an internal error, labelled as such on
 stderr), 3 verification found a counterexample or an oracle disagreement,
 141 (128 + SIGPIPE) the reader of stdout closed it early, as ``| head``
 does, with nothing on stderr.
-Input beyond a command's size limit also exits 2 with an ``error:`` line:
-``analyze`` refuses an unrealizable diagram of more than
-``ANALYZE_MAX_UNREALIZABLE`` chords and a realizable one of more than
-``ANALYZE_MAX_COMPONENTS`` interlacement components, whose 2^n or 2^k
-walks would run for seconds to hours; ``check`` decides either in O(n^2).
-``graph`` refuses ``mobius:k`` above ``MOBIUS_MAX`` before building it.
+Input beyond a command's size limit also exits 2, with an error on stderr.
+argparse's ``choices`` bound ``enumerate --chords`` to 1..``ENUMERATE_MAX``
+and ``verify --max-chords`` to 2..``VERIFY_MAX``: the usage line lists the
+values, and the error for any other value reads ``argument --chords:
+invalid choice: 9 (choose from 1, 2, ...)``.  ``analyze`` refuses an
+unrealizable diagram of more than ``ANALYZE_MAX_UNREALIZABLE`` chords and
+a realizable one of more than ``ANALYZE_MAX_COMPONENTS`` interlacement
+components, whose 2^n or 2^k walks would run for seconds to hours;
+``check`` decides either in O(n^2).  ``graph`` refuses ``mobius:k`` above
+``MOBIUS_MAX`` before building it.  Those two print an ``error:`` line.
 """
 
 from __future__ import annotations
@@ -295,20 +299,12 @@ def cmd_flips(args: argparse.Namespace) -> int:
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     n = args.chords
-    if not 1 <= n <= ENUMERATE_MAX:
-        raise DiagramError(
-            f"chord count must be between 1 and {ENUMERATE_MAX}, got {n}"
-        )
+    # every realizable class passes slot parity, so the flag prunes the rest
+    stream = enumerate_diagrams(n, parity_only=args.realizable_only)
+    classes = [dict(word=d.word(), realizable=is_realizable(d)) for d in stream]
     if args.realizable_only:
-        # realizable classes pass slot parity, and the others are only counted
-        stream = enumerate_diagrams(n, parity_only=True)
-        classes = [dict(word=d.word(), realizable=True) for d in stream if is_realizable(d)]
-        total, realizable = class_count(n), len(classes)
-    else:
-        classes = [
-            dict(word=d.word(), realizable=is_realizable(d)) for d in enumerate_diagrams(n)
-        ]
-        total, realizable = len(classes), sum(c["realizable"] for c in classes)
+        classes = [c for c in classes if c["realizable"]]
+    total, realizable = class_count(n), sum(c["realizable"] for c in classes)
     unrealizable = total - realizable
     footer = f"# classes={total} realizable={realizable} unrealizable={unrealizable}"
     _emit({"chords": n, "classes": classes}, _class_lines(classes, footer), args.json)
@@ -330,12 +326,9 @@ def _verify_lines(r: dict, summary: str) -> Iterator[str]:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    max_n = args.max_chords
-    if not 2 <= max_n <= VERIFY_MAX:
-        raise FlipError(f"--max-chords must be between 2 and {VERIFY_MAX}, got {max_n}")
     if args.threads < 1:
         raise FlipError(f"--threads must be positive, got {args.threads}")
-    theorem = verify_flip_theorem(max_n, workers=args.threads)
+    theorem = verify_flip_theorem(args.max_chords, workers=args.threads)
     record = theorem.to_json_dict()
     _emit(record, _verify_lines(record, theorem.summary()), args.json)
     return 0 if theorem.ok() else 3
@@ -375,12 +368,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("enumerate", help="canonical diagram classes")
-    p.add_argument("--chords", type=int, required=True)
+    p.add_argument(
+        "--chords", type=int, required=True, choices=range(1, ENUMERATE_MAX + 1)
+    )
     p.add_argument("--realizable-only", action="store_true")
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("verify", help="flip theorem + oracle agreement sweep")
-    p.add_argument("--max-chords", type=int, required=True)
+    p.add_argument(
+        "--max-chords", type=int, required=True, choices=range(2, VERIFY_MAX + 1)
+    )
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--json", action="store_true")
 

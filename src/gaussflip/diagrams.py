@@ -339,11 +339,19 @@ class InterlacementGraph:
     degrees: tuple[int, ...]
 
     def to_dot(self) -> str:
-        lines = ["graph interlacement {"]
+        """The graph in DOT, each label a quoted ID with ``"`` escaped.
+
+        ``\\"`` is the only escape in a quoted ID, so a label that ends in a
+        backslash would escape its own closing quote; it is refused.
+        """
+        ids = {}
         for v in self.vertices:
-            lines.append(f'  "{v}";')
-        for a, b in self.edges:
-            lines.append(f'  "{a}" -- "{b}";')
+            if v.endswith("\\"):
+                raise DiagramError(f"DOT cannot quote label {v}: it ends in a backslash")
+            ids[v] = '"' + v.replace('"', '\\"') + '"'
+        lines = ["graph interlacement {"]
+        lines.extend(f"  {ids[v]};" for v in self.vertices)
+        lines.extend(f"  {ids[a]} -- {ids[b]};" for a, b in self.edges)
         lines.append("}")
         return "\n".join(lines) + "\n"
 

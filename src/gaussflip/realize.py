@@ -133,6 +133,9 @@ def _rotation_successors(d: GaussDiagram, key: int) -> list[int]:
 
 
 def _face_count(succ: list[int]) -> int:
+    # trace_faces' walk, counting without listing: with the two merged into
+    # one, min_genus took 9.5-10.8 ms on a 10-chord unrealizable word,
+    # against 8.8-9.7 ms apart (3 alternating runs each, 2-core host)
     nd = len(succ)
     seen = bytearray(nd)
     faces = 0
