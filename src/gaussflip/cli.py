@@ -6,7 +6,8 @@ diagram (word or pair syntax), graph works on cubic graphs (edge lists,
 enumerate lists diagram classes, and verify sweeps the flip theorem plus
 the two-oracle agreement check.  Each command builds one JSON-ready record;
 ``--json`` prints it, and the text (or census CSV) lines are rendered from it.
-``GRAPH_ACTIONS`` says which graph action takes ``--csv`` or ``--dot``.
+Each graph action (hamcycles, census, iso) is a sub-command of its own,
+which reads its own number of graphs and takes its output flags after it.
 The parser is built once per process, at import; ``main`` looks up
 ``cmd_<command>`` by name when called, so a handler patched later still runs.
 
@@ -112,11 +113,17 @@ def _load_graph(spec: str) -> CubicGraph:
                 f"ladder order {k} in {spec!r} exceeds the limit of {MOBIUS_MAX}"
             )
         return moebius_ladder(k)
-    if spec == "-":
-        return parse_edge_list(sys.stdin.read())
-    if os.path.isfile(spec):  # False, not an error, on a name too long for a file
-        with open(spec) as f:
-            return parse_edge_list(f.read())
+    # isfile is False, not an error, on a name too long for a file
+    if spec == "-" or os.path.isfile(spec):
+        try:
+            if spec == "-":
+                text = sys.stdin.read()
+            else:
+                with open(spec) as f:
+                    text = f.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise GraphError(f"cannot read graph {spec!r}: {exc}") from exc
+        return parse_edge_list(text)
     if "," in spec or "\n" in spec:
         return parse_edge_list(spec.replace(",", "\n"))
     raise GraphError(
@@ -222,14 +229,6 @@ def cmd_check(args: argparse.Namespace) -> int:
     return 0 if realizable else 1
 
 
-# graph action -> (graphs it reads, output flags it takes besides --json)
-GRAPH_ACTIONS = {
-    "hamcycles": (1, ("dot",)),
-    "census": (1, ("csv", "dot")),
-    "iso": (2, ()),
-}
-
-
 def _graph_lines(action: str, r: dict, csv: bool) -> Iterator[str]:
     if action == "hamcycles":
         yield from (" ".join(str(v) for v in cycle) for cycle in r["cycles"])
@@ -251,13 +250,6 @@ def _graph_lines(action: str, r: dict, csv: bool) -> Iterator[str]:
 
 def cmd_graph(args: argparse.Namespace) -> int:
     action = args.action
-    arity, flags = GRAPH_ACTIONS[action]
-    for flag in ("csv", "dot"):
-        if getattr(args, flag) and flag not in flags:
-            takers = " and ".join(a for a, f in GRAPH_ACTIONS.items() if flag in f[1])
-            raise GraphError(f"--{flag} is for graph {takers}, not graph {action}")
-    if len(args.graphs) != arity:
-        raise GraphError(f"graph {action} takes exactly {arity} graph argument(s)")
     graphs = [_load_graph(spec) for spec in args.graphs]
     if args.dot:
         print(graphs[0].to_dot(), end="")
@@ -350,17 +342,23 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="realizability verdict via exit code")
     p.add_argument("diagram")
 
-    p = sub.add_parser("graph", help="cubic graph queries")
-    p.add_argument("action", choices=tuple(GRAPH_ACTIONS))
-    p.add_argument(
-        "graphs",
-        nargs="+",
-        help="edge-list file, '-', 'mobius:k', or inline '0 1,1 2,...'",
+    actions = sub.add_parser("graph", help="cubic graph queries").add_subparsers(
+        dest="action", required=True
     )
-    out = p.add_mutually_exclusive_group()
-    out.add_argument("--json", action="store_true")
-    out.add_argument("--csv", action="store_true", help="census only")
-    out.add_argument("--dot", action="store_true", help="the graph as dot; not iso")
+    # each action: how many graphs it reads, and its output flags besides --json
+    for action, count, flags in (
+        ("hamcycles", 1, ("dot",)), ("census", 1, ("csv", "dot")), ("iso", 2, ())
+    ):
+        p = actions.add_parser(action)
+        p.add_argument(
+            "graphs",
+            nargs=count,
+            help="edge-list file, '-', 'mobius:k', or inline '0 1,1 2,...'",
+        )
+        out = p.add_mutually_exclusive_group()
+        for flag in ("json", *flags):
+            out.add_argument(f"--{flag}", action="store_true")
+        p.set_defaults(csv=False, dot=False)
 
     p = sub.add_parser("flips", help="flip sites or the whole flip orbit")
     p.add_argument("diagram")

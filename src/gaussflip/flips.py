@@ -16,6 +16,7 @@ import os
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
+from itertools import chain, islice
 
 from .diagrams import (
     GaussDiagram,
@@ -260,12 +261,23 @@ def _pooled(check: Callable, items: Iterable, workers: int) -> Iterator:
     The pool sends items in batches of 128 and yields results in order.
     Its task thread blocks while the pipe to the workers is full, so the
     caller's memory stays flat however many items ``items`` yields.
+    Rule: the pool starts only when ``items`` holds more than one batch and
+    ``workers``, capped at one per CPU since the pool starts all of its
+    workers at once, is at least 2.  One batch would go whole to one
+    worker, and the pool would add only its start-up; so this process maps
+    such a stream itself.
     """
+    items = iter(items)
+    head = list(islice(items, 129))
+    workers = min(workers, os.cpu_count() or 1)
+    if len(head) <= 128 or workers < 2:
+        yield from map(check, chain(head, items))
+        return
     # imported here, so that no other command loads multiprocessing
     from multiprocessing import Pool
 
     with Pool(workers) as pool:
-        yield from pool.imap(check, items, chunksize=128)
+        yield from pool.imap(check, chain(head, items), chunksize=128)
 
 
 def verify_flip_theorem(max_n: int, workers: int = 1) -> FlipTheoremReport:
@@ -301,23 +313,18 @@ def verify_flip_theorem(max_n: int, workers: int = 1) -> FlipTheoremReport:
 
     Classes stream one at a time as ``enumerate_diagrams`` built them,
     so the serial sweep builds no class twice and a pool worker unpickles
-    them without validating them again.  With more than one worker,
-    ``_pooled`` checks classes while the pool's task thread is still
-    enumerating them.  Only the classes to report are kept.
+    them without validating them again.  When ``_pooled`` starts a pool,
+    it checks classes while the pool's task thread is still enumerating
+    them.  Only the classes to report are kept.
     Counterexamples come back in sweep order, ascending (length,
-    canonical word), then by site.  At most one worker process per CPU is
-    started: the pool starts all of its workers at once, and the report
-    is the same for any count.
+    canonical word), then by site, and the report is the same for any
+    worker count.
     """
     if max_n < 2:
         raise FlipError(f"max chord count must be at least 2, got {max_n}")
     sizes = range(1, max_n + 1)
     diagrams = (d for n in sizes for d in enumerate_diagrams(n, parity_only=True))
-    workers = min(workers, os.cpu_count() or 1)
-    if workers > 1:
-        results = _pooled(_check_class, diagrams, workers)
-    else:
-        results = map(_check_class, diagrams)
+    results = _pooled(_check_class, diagrams, workers)
     bad: set[FlipCounterexample] = set()  # a class re-checked twice reports once
     mismatches: list[str] = []
     for found, wrong in results:

@@ -448,11 +448,43 @@ class TestGraph:
         assert out == run_cli(capsys, "graph", "hamcycles", "mobius:16")[1]
 
     def test_wrong_arity(self, capsys):
-        code, _, err = run_cli(capsys, "graph", "iso", "mobius:3")
-        assert code == 2
-        assert "exactly 2" in err
-        code, _, err = run_cli(capsys, "graph", "census", "mobius:3", "mobius:4")
-        assert code == 2
+        # each action's parser reads its own count of graphs
+        code, out, err = run_cli(capsys, "graph", "iso", "mobius:3")
+        assert (code, out) == (2, "")
+        assert "error: the following arguments are required: graphs" in err
+        code, out, err = run_cli(capsys, "graph", "census", "mobius:3", "mobius:4")
+        assert (code, out) == (2, "")
+        assert "error: unrecognized arguments: mobius:4" in err
+
+    def test_action_help_lists_its_own_flags(self, capsys):
+        usage = {}
+        for action in ("hamcycles", "census", "iso"):
+            assert main(["graph", action, "-h"]) == 0
+            usage[action] = capsys.readouterr().out
+        assert "--dot" in usage["hamcycles"] and "--csv" not in usage["hamcycles"]
+        assert "--dot" in usage["census"] and "--csv" in usage["census"]
+        assert "--dot" not in usage["iso"] and "--csv" not in usage["iso"]
+        assert "graphs graphs" in usage["iso"]
+
+    @pytest.mark.parametrize("source", ["file", "stdin", "directory"])
+    def test_unreadable_graph_is_bad_input(self, capsys, tmp_path, monkeypatch, source):
+        # bytes that are not UTF-8, or a failed open, are malformed input, not a bug
+        data = b"0 1\n\xff\n"
+        path = tmp_path / "bad.edges"
+        path.write_bytes(data)
+        spec = str(path)
+        if source == "stdin":
+            spec = "-"
+            stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="strict")
+            monkeypatch.setattr(sys, "stdin", stdin)
+        elif source == "directory":
+            # open raises IsADirectoryError, even for root
+            spec, isfile = str(tmp_path), os.path.isfile
+            monkeypatch.setattr(os.path, "isfile", lambda p: p == spec or isfile(p))
+        code, out, err = run_cli(capsys, "graph", "census", spec)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read graph {spec!r}: ")
+        assert err.count("\n") == 1
 
     def test_not_cubic_diagnostic(self, capsys):
         code, _, err = run_cli(capsys, "graph", "census", SQUARE_INLINE)
@@ -658,9 +690,9 @@ class TestTopLevel:
             (("graph", "census", "--json", "--csv", "mobius:5"), "not allowed"),
             (("graph", "census", "--json", "--dot", "mobius:5"), "not allowed"),
             (("graph", "census", "--csv", "--dot", "mobius:5"), "not allowed"),
-            (("graph", "hamcycles", "--csv", "mobius:3"), "error: --csv is for"),
-            (("graph", "iso", "--csv", "mobius:3", "mobius:3"), "error: --csv is for"),
-            (("graph", "iso", "--dot", "mobius:3", "mobius:4"), "error: --dot is for"),
+            (("graph", "hamcycles", "--csv", "mobius:3"), "unrecognized arguments: --csv"),
+            (("graph", "iso", "--csv", "mobius:3", "mobius:3"), "unrecognized arguments: --csv"),
+            (("graph", "iso", "--dot", "mobius:3", "mobius:4"), "unrecognized arguments: --dot"),
         ],
         ids=[
             "analyze-json-dot",
@@ -735,7 +767,8 @@ class TestTopLevel:
         assert proc.returncode == 0, proc.stderr
 
     def test_import_leaves_the_process_pool_out(self):
-        # only `verify --threads N` with N > 1 starts a pool, and imports it then
+        # only `verify --threads N` with N > 1 starts a pool, and only past one
+        # batch of classes; it imports the pool then
         src = str(Path(gaussflip.__file__).parent.parent)
         proc = subprocess.run(
             [

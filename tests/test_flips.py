@@ -111,15 +111,11 @@ def all_class_sweep(max_n, workers=1):
 
     The streamed sweep as it was before only the parity-passing classes
     were enumerated: every class goes through ``check_word_flips``, one
-    word per call through the same serial ``map`` or pool, and the class
+    word per call through the same ``_pooled`` as the sweep, and the class
     and site totals are sums over the classes met.
     """
     words = (d.word() for n in range(1, max_n + 1) for d in enumerate_diagrams(n))
-    workers = min(workers, os.cpu_count() or 1)
-    if workers > 1:
-        results = flips._pooled(_word_and_check, words, workers)
-    else:
-        results = map(_word_and_check, words)
+    results = flips._pooled(_word_and_check, words, workers)
     classes = sites = 0
     bad: set[FlipCounterexample] = set()
     mismatches: list[str] = []
@@ -478,13 +474,19 @@ class TestTheoremSweep:
                     assert not _gauss_parity(d), d.word()
         assert failing == 5941 - 340
 
-    def test_workers_capped_at_cpu_count(self, monkeypatch):
-        # the pool starts every worker up front, so a recorder stands in for it
-        pools = []
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """Worker counts of the pools started; a recorder stands in for each.
+
+        The pool starts every worker up front, so it is not started here;
+        ``_pooled`` imports the pool only when it starts one, and finds
+        the recorder.
+        """
+        started = []
 
         class RecordingPool:
             def __init__(self, processes):
-                pools.append(processes)
+                started.append(processes)
 
             def __enter__(self):
                 return self
@@ -495,14 +497,25 @@ class TestTheoremSweep:
             def imap(self, fn, items, chunksize=1):
                 return map(fn, items)
 
-        # verify imports the pool only when it starts one
         monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
-        serial = verify_flip_theorem(3, workers=1)
+        return started
+
+    def test_workers_capped_at_cpu_count(self, monkeypatch, pools):
+        # 340 classes up to 7 chords: past one batch, so a pool may start
+        serial = verify_flip_theorem(7, workers=1)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        assert verify_flip_theorem(3, workers=10**6) == serial
+        assert verify_flip_theorem(7, workers=10**6) == serial
         assert pools == [2]
         monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: one worker
-        assert verify_flip_theorem(3, workers=4) == serial
+        assert verify_flip_theorem(7, workers=4) == serial
+        assert pools == [2]
+
+    def test_pool_starts_only_past_one_batch(self, monkeypatch, pools):
+        # one batch of 128 would go whole to one worker
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert list(flips._pooled(str, range(128), 2)) == list(map(str, range(128)))
+        assert pools == []
+        assert list(flips._pooled(str, range(129), 2)) == list(map(str, range(129)))
         assert pools == [2]
 
     def test_check_word_flips(self):
