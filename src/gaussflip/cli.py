@@ -59,12 +59,13 @@ from .flips import FlipError, apply_flip, flip_orbit, flip_sites, verify_flip_th
 from .realize import (
     RealizeError,
     _one_per_curve,
-    _plane_embeddings,
     _plane_key,
+    _plane_keys,
     curve_code,
     gadget_planarity,
     is_realizable,
     min_genus,
+    trace_faces,
 )
 
 # `enumerate --chords 8 --json` takes 2.6-3.6 s on a 2-core host with
@@ -77,13 +78,16 @@ ENUMERATE_MAX = 8
 # 2.9-3.1 s.  11 chords have about 10 times as many passing classes as 10.
 VERIFY_MAX = 10
 # `analyze --json` finds the least genus of an unrealizable diagram by
-# tracing all 2^n rotation systems: ABACBC plus isolated chords takes
-# 0.75-1.25 s at 16 chords and 1.6-1.9 s at 17 on a 2-core host.
+# counting the faces of all 2^n rotation systems: ABACBC plus isolated
+# chords takes 0.55-0.81 s at 16 chords and 1.1-1.8 s at 17 on a 2-core
+# host (0.87-1.14 s and 1.9-2.5 s when each key rebuilt every crossing).
+# 17 would still fit the 14-component walk's time, but the limit stays:
+# raising it would turn refused input into reports.
 ANALYZE_MAX_UNREALIZABLE = 16
 # A realizable diagram with k interlacement components has 2^k plane
-# embeddings to trace, and codes one per orbit of its symmetries and the
-# mirror.  With the identity as its only symmetry that is 2^(k-1) codes:
-# nested chords AABCCBDEFFED... in nests of 1, 2, 3, 4 and 4 chords (k = 14)
+# embeddings to check for genus 0, and traces and codes one per orbit of
+# its symmetries and the mirror.  With the identity as its only symmetry
+# that is 2^(k-1) codes: nested chords AABCCBDEFFED... in nests of 1, 2, 3, 4 and 4 chords (k = 14)
 # take 2.1-2.4 s, and in nests of 1 to 5 chords (k = 15) 4.2-4.6 s, on the
 # same host.  14 isolated chords, with 28 symmetries, take 0.49-0.57 s.
 ANALYZE_MAX_COMPONENTS = 14
@@ -147,7 +151,7 @@ def analysis_record(d: GaussDiagram, raw: str) -> dict:
             f" interlacement components exceed the limit of {ANALYZE_MAX_COMPONENTS}"
             " (use 'gaussflip check' for the verdict alone)"
         )
-    reports = _plane_embeddings(d, solved)
+    keys = _plane_keys(d, solved)
     realizable = solved is not None
     if not realizable and d.n > ANALYZE_MAX_UNREALIZABLE:
         raise RealizeError(
@@ -157,10 +161,10 @@ def analysis_record(d: GaussDiagram, raw: str) -> dict:
         )
     genus = 0 if realizable else min_genus(d)
     gadget = gadget_planarity(d)
-    curves = {
-        curve_code(report): report.face_degrees()
-        for report in _one_per_curve(d, reports)
-    }
+    curves = {}
+    for key in _one_per_curve(d, keys):
+        report = trace_faces(d, key)
+        curves[curve_code(report)] = report.face_degrees()
     return {
         "input": raw,
         "word": d.word(),
@@ -176,7 +180,7 @@ def analysis_record(d: GaussDiagram, raw: str) -> dict:
         "gadget_planar": gadget,
         "oracles_agree": realizable == gadget,
         "min_genus": genus,
-        "realizations": len(reports),
+        "realizations": len(keys),
         "curves": [
             {
                 "code": code,

@@ -20,6 +20,7 @@ from itertools import chain, islice
 
 from .diagrams import (
     GaussDiagram,
+    _symmetries,
     canonical_form,
     class_count,
     enumerate_diagrams,
@@ -145,15 +146,61 @@ def flip_orbit(d: GaussDiagram) -> FlipOrbit:
     edges: list[tuple[str, tuple[int, int], str]] = []
     while queue:
         word = queue.popleft()
-        rep = parse_word(word)
-        for site in flip_sites(rep):
-            target = canonical_form(apply_flip(rep, site))
-            edges.append((word, (site.i, site.j), target))
+        for site, target in _flip_targets(parse_word(word)):
+            edges.append((word, site, target))
             if target not in found:
                 found.add(target)
                 queue.append(target)
     members = tuple((w, realizable_class(w)) for w in sorted(found))
     return FlipOrbit(members, tuple(sorted(edges)))
+
+
+def _flip_targets(d: GaussDiagram) -> list[tuple[tuple[int, int], str]]:
+    """Each site (i, j) of ``d``, in ``flip_sites`` order, with its flip's class.
+
+    One site per orbit is flipped and canonicalised; every other site of
+    that orbit takes the same class.  The orbits are those of the group
+    generated by the symmetries of d (``_symmetries``) acting on sites,
+    and the swap (i, j) <-> (j, i).  No symmetry but the identity and at
+    most one reflection fixes a site, so an orbit holds at least half as
+    many sites as d has symmetries, and marking every orbit costs O(sites).
+
+    Proof.  Write the diagram from slot i as P Q alpha P Q beta, with P at
+    slots i and j, Q at i + 1 and j + 1, alpha the arc i + 2 .. j - 1 and
+    beta the arc j + 2 .. i - 1.  Read from slot i, site (i, j) gives
+    P Q alpha^r P Q beta and site (j, i) gives P Q alpha P Q beta^r.  The
+    first, read backwards from its second Q, is Q P alpha Q P beta^r: the
+    second with P and Q trading names.  A class forgets names and
+    direction, so the swap keeps the class.
+    A symmetry g of d, a rotation or reflection of the circle with
+    g(d) = d, commutes with the flip: g(flip_s d) = flip_{g(s)} d, where
+    g(s) is the site whose reversed arc is the image of s's reversed arc.
+    Then flip_{g(s)} d is a rotation or reflection of flip_s d, so it has
+    the same class.  A rotation s |-> s + r sends the pattern slots
+    i, i + 1, j, j + 1 to i + r, i + 1 + r, j + r, j + 1 + r, so g(i, j) =
+    (i + r, j + r).  A reflection s |-> r - s sends them to r - i,
+    r - i - 1, r - j, r - j - 1: Q now sits one slot before P, so the
+    image pair is the site at (r - i - 1, r - j - 1), and the image of
+    alpha, slots r - j + 1 .. r - i - 2, is the arc that site
+    (r - j - 1, r - i - 1) reverses; up to the swap, which keeps the class,
+    that is the site (r - i - 1, r - j - 1).  So the whole orbit of a site
+    under rotations, reflections and the swap reaches one class.
+    """
+    m = 2 * d.n
+    group = _symmetries(d)
+    target_of: dict[tuple[int, int], str] = {}
+    targets = []
+    for site in flip_sites(d):
+        i, j = site.i, site.j
+        if (i, j) not in target_of:
+            target = canonical_form(apply_flip(d, site))
+            for r, step in group:
+                a, b = ((i + r) % m, (j + r) % m) if step == 1 else (
+                    (r - i - 1) % m, (r - j - 1) % m
+                )
+                target_of[a, b] = target_of[b, a] = target
+        targets.append(((i, j), target_of[i, j]))
+    return targets
 
 
 @dataclass(frozen=True)

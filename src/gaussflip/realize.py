@@ -59,7 +59,8 @@ successor of the reversed dart.
 Curve codes.  ``curve_code`` names the plane curve an embedding draws,
 up to homeomorphisms of the sphere.  The diagram's symmetries and the
 mirror act on keys without changing the curve, so ``_one_per_curve``
-picks the least key of each orbit and ``analyze`` codes only those.
+picks the least key of each orbit and ``analyze`` traces and codes only
+those; ``_plane_keys`` has already counted every plane key's faces.
 Keys act as slot strings: a key's 2n-bit string holds each chord's bit
 at its first slot and the complement at its second, and a symmetry acts
 on it by one turn of the string (reflections reverse it first), so the
@@ -247,42 +248,59 @@ def realize_all(d: GaussDiagram) -> list[EmbeddingReport]:
     components: 2^k keys for k interlacement components, each of genus 0.
     A key and its mirror (every bit flipped) are both traced, not one
     derived from the other: the caller gets every plane embedding with its
-    own faces (the README shows rotations [10, 21]), and derived faces
-    would need a second face routine with its own tests, to save about
-    0.06 s per traced ``analyze`` round.
+    own faces (the README shows rotations [10, 21]).
     """
-    return _plane_embeddings(d, _plane_key(d))
+    return [trace_faces(d, key) for key in _plane_keys(d, _plane_key(d))]
 
 
-def _plane_embeddings(d: GaussDiagram, solved: _Decision) -> list[EmbeddingReport]:
-    """``realize_all`` from a decision already made: ``_plane_key(d)``."""
+def _plane_keys(d: GaussDiagram, solved: _Decision) -> list[int]:
+    """The plane keys of a decision already made, ``_plane_key(d)``, ascending.
+
+    Each is checked to count n + 2 faces, genus 0, and an ``AssertionError``
+    is raised, not asserted, so the check holds under ``python -O`` too.
+    """
     if solved is None:
         return []
     key, components = solved
     keys = [key]
     for component in components:
         keys += [k ^ component for k in keys]
-    reports = []
-    for key in sorted(keys):
-        report = trace_faces(d, key)
-        if report.genus:
+    keys.sort()
+    for key in keys:
+        faces = _face_count(_rotation_successors(d, key))
+        if faces != d.n + 2:
             raise AssertionError(
                 f"rotation {key} from the forest colouring of {d.word()}"
-                f" has genus {report.genus}"
+                f" has genus {(d.n + 2 - faces) // 2}"
             )
-        reports.append(report)
-    return reports
+    return keys
 
 
 def min_genus(d: GaussDiagram) -> int:
-    """Least genus over all 2^n transverse embeddings (0 iff realizable)."""
+    """Least genus over all 2^n transverse embeddings (0 iff realizable).
+
+    The walk visits the keys in Gray-code order: step s reaches key
+    s XOR (s >> 1), which differs from the key before it in the lowest set
+    bit of s alone.  The two cyclic orders at a crossing are each other's
+    inverse, so flipping one chord's bit reverses its 4-cycle of
+    successors: each step rewrites four entries in place instead of
+    rebuilding all 4n.  The walk visits every key once, as the ascending
+    walk does, so the least genus is the same; it stops at n + 2 faces.
+    """
     best = d.n  # no genus exceeds n: one face already gives (n + 1) / 2
-    for key in transverse_rotation_systems(d):
-        genus = (2 + d.n - _face_count(_rotation_successors(d, key))) // 2
-        if genus < best:
-            best = genus
-            if best == 0:
-                break
+    succ = _rotation_successors(d, 0)
+    outs = [2 * u for u, _ in d.chord_slots]  # a dart of each crossing
+    for step in transverse_rotation_systems(d):
+        if step:
+            a = outs[(step & -step).bit_length() - 1]
+            b = succ[a]
+            c = succ[b]
+            e = succ[c]
+            succ[a], succ[b], succ[c], succ[e] = e, a, b, c
+        faces = _face_count(succ)
+        if faces == d.n + 2:
+            return 0
+        best = min(best, (2 + d.n - faces) // 2)
     return best
 
 
@@ -447,13 +465,11 @@ def curve_code(report: EmbeddingReport) -> str:
     return "-".join(f"{best[i]}.{best[i + 1]}" for i in range(0, len(best), 2))
 
 
-def _one_per_curve(
-    d: GaussDiagram, reports: list[EmbeddingReport]
-) -> Iterator[EmbeddingReport]:
-    """One report per orbit of d's symmetries and the mirror, least key first.
+def _one_per_curve(d: GaussDiagram, keys: list[int]) -> Iterator[int]:
+    """One plane key per orbit of d's symmetries and the mirror, least first.
 
-    ``reports`` come in ascending key order, as ``realize_all`` gives them.
-    A report whose key is not yet seen is yielded, and then its whole orbit
+    ``keys`` come in ascending order, as ``_plane_keys`` gives them.
+    A key not yet seen is yielded, and then its whole orbit
     is marked seen: for every symmetry g of d (``_symmetries``), the image
     key g.k and its complement.  Every key of an orbit has the same
     ``curve_code``, so the least key of each orbit stands for all of them.
@@ -491,14 +507,14 @@ def _one_per_curve(
     seconds = sum(1 << v for _, v in d.chord_slots)
     group = _symmetries(d)
     seen: set[int] = set()
-    for report in reports:
+    for key in keys:
         t = seconds
         for i, (u, v) in enumerate(d.chord_slots):
-            if report.rotation >> i & 1:
+            if key >> i & 1:
                 t ^= 1 << u | 1 << v
         if t in seen:
             continue
-        yield report
+        yield key
         back = int(f"{t:0{m}b}"[::-1], 2)
         for start, step in group:
             turn, r = (start, t) if step == 1 else (start + 1, back)

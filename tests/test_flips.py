@@ -10,9 +10,11 @@ from collections import Counter
 from contextlib import redirect_stdout
 from dataclasses import replace
 from io import StringIO
+from pathlib import Path
 from unittest.mock import patch
 
 import pytest
+from test_criterion import rosette
 
 from gaussflip import cli, flips
 from gaussflip.cubic import (
@@ -43,6 +45,7 @@ from gaussflip.flips import (
 )
 from gaussflip.realize import _gauss_parity, is_realizable
 
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 SPAN3 = parse_word("AEBACBDCED")
 DIAMETERS = parse_word("ADBECADBEC")
 MIXED = parse_word("ACDECABDEB")
@@ -150,6 +153,47 @@ def assert_sweeps_match(max_n, workers):
             assert verify_output(verify_flip_theorem, *argv) == want, argv
             compared += 1
     return compared
+
+
+def reference_flip_targets(d):
+    """Every site of d with the class its flip reaches, each flip canonicalised."""
+    return [((s.i, s.j), canonical_form(apply_flip(d, s))) for s in flip_sites(d)]
+
+
+def assert_flip_targets_match_reference(diagrams) -> int:
+    """``_flip_targets`` equals canonicalising every site; returns the count."""
+    count = 0
+    for d in diagrams:
+        assert flips._flip_targets(d) == reference_flip_targets(d), d.word()
+        count += 1
+    return count
+
+
+def symmetric_rosette_sums():
+    """Connected sums of rosettes and isolated chords, repeated 2 or 3 times."""
+    for k in (3, 5):
+        for isolated in (1, 2):
+            for times in (2, 3):
+                tokens: list[str] = []
+                for _ in range(times):
+                    used = len(tokens) // 2
+                    tokens += [f"X{used + c}" for c in (*range(k), *range(k))]
+                    used += k
+                    tokens += [f"X{used + c}" for c in range(isolated) for _ in "ab"]
+                yield GaussDiagram.from_tokens(tokens)
+
+
+def count_flips(monkeypatch) -> list[int]:
+    """Patch ``apply_flip`` in ``flips`` to count its calls in a one-item list."""
+    calls = [0]
+    real = flips.apply_flip
+
+    def counted(d, site):
+        calls[0] += 1
+        return real(d, site)
+
+    monkeypatch.setattr(flips, "apply_flip", counted)
+    return calls
 
 
 def random_words(seed, count, max_n):
@@ -296,6 +340,47 @@ class TestOrbits:
             "ABCDEABCDE",
         }
         assert all(set(e) == {"from", "site", "to"} for e in data["edges"])
+
+
+class TestFlipTargets:
+    """``_flip_targets`` flips one site per orbit and gives every site its class."""
+
+    def test_every_class_up_to_seven_chords(self):
+        # CI runs the same check up to 8 chords
+        classes = (d for n in range(1, 8) for d in enumerate_diagrams(n))
+        assert assert_flip_targets_match_reference(classes) == 5941
+
+    def test_rosettes(self):
+        # R_k for odd k: 2k sites, all in one orbit of the 4k symmetries
+        rosettes = [rosette(k) for k in range(3, 32, 2)]
+        assert assert_flip_targets_match_reference(rosettes) == 15
+
+    def test_sums_of_rosettes_and_isolated_chords(self):
+        sums = list(symmetric_rosette_sums())
+        assert all(flip_sites(d) for d in sums)
+        assert assert_flip_targets_match_reference(sums) == 8
+
+    def test_sums_of_isolated_chords(self):
+        # no two chords are doubly adjacent, so there is nothing to flip
+        for n in range(1, 9):
+            d = parse_word("".join(chr(65 + c) * 2 for c in range(n)))
+            assert flips._flip_targets(d) == reference_flip_targets(d) == []
+
+    def test_one_flip_per_member_of_a_large_rosette(self, monkeypatch):
+        calls = count_flips(monkeypatch)
+        orbit = flip_orbit(rosette(201))
+        assert calls == [2]
+        assert len(orbit.members) == 2 and len(orbit.edges) == 404
+
+    def test_flips_over_the_benchmark_words(self, monkeypatch):
+        # the analyze workload's 48 words of seed 1: 896 sites in 284 orbits
+        monkeypatch.syspath_prepend(str(BENCH))
+        from inputs import analyze_words
+
+        calls = count_flips(monkeypatch)
+        for word in analyze_words(1):
+            flip_orbit(parse_word(word))
+        assert calls == [284]
 
 
 class TestTwoSwitches:

@@ -16,6 +16,8 @@ from gaussflip.realize import (
     NotAPlaneCurveError,
     RealizeError,
     _gauss_parity,
+    _plane_key,
+    _plane_keys,
     _rotation_successors,
     curve_code,
     gadget_planarity,
@@ -107,6 +109,29 @@ def assert_parity_count_matches(cases: Iterable[GaussDiagram]) -> int:
     return checked
 
 
+def reference_min_genus(d: GaussDiagram) -> int:
+    """The least genus by tracing keys 0, 1, 2, ... in ascending order."""
+    best = d.n
+    for key in range(1 << d.n):
+        best = min(best, trace_faces(d, key).genus)
+        if best == 0:
+            break
+    return best
+
+
+def assert_min_genus_matches_reference(cases: Iterable[GaussDiagram]) -> int:
+    """``min_genus``'s Gray-code walk against the ascending one; returns the count.
+
+    CI runs it on every class up to 7 chords; the test suite compares
+    ``min_genus`` with tracing every key up to 6.
+    """
+    checked = 0
+    for d in cases:
+        assert min_genus(d) == reference_min_genus(d), d.word()
+        checked += 1
+    return checked
+
+
 def classes_up_to(max_n: int):
     return (parse_word(w) for n in range(1, max_n + 1) for w in canonical_words(n))
 
@@ -185,6 +210,20 @@ class TestFaceTracing:
                 got = [(r.rotation, r.faces) for r in realize_all(d)]
                 assert got == want, word
                 assert min_genus(d) == min(r.genus for r in traced), word
+
+    def test_min_genus_of_abacbc_with_ten_isolated_chords(self):
+        # 13 chords, genus 1: all 8,192 keys are walked, none exits early
+        d = parse_word("ABACBC" + "".join(c * 2 for c in "DEFGHIJKLM"))
+        assert assert_min_genus_matches_reference([d]) == 1
+        assert min_genus(d) == 1
+
+    def test_plane_keys_check_every_key(self):
+        # one bit off the plane key of one component: no longer planar, and
+        # the check raises, not asserts, so it holds under python -O too
+        key, components = _plane_key(DIAMETERS)
+        assert _plane_keys(DIAMETERS, (key, components)) == sorted([key, key ^ 31])
+        with pytest.raises(AssertionError, match="has genus 1"):
+            _plane_keys(DIAMETERS, (key ^ 1, components))
 
     def test_faces_partition_darts(self):
         d = DIAMETERS
