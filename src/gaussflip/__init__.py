@@ -68,7 +68,6 @@ from .realize import (
     gadget_planarity,
     is_realizable,
     min_genus,
-    realizable_class,
     realize_all,
     trace_faces,
     transverse_rotation_systems,
@@ -125,7 +124,6 @@ __all__ = [
     "parse_diagram_input",
     "parse_edge_list",
     "parse_word",
-    "realizable_class",
     "realize_all",
     "trace_faces",
     "transverse_rotation_systems",

@@ -25,7 +25,10 @@ unrealizable diagram of more than ``ANALYZE_MAX_UNREALIZABLE`` chords and
 a realizable one of more than ``ANALYZE_MAX_COMPONENTS`` interlacement
 components, whose 2^n or 2^k walks would run for seconds to hours;
 ``check`` decides either in O(n^2).  ``graph`` refuses ``mobius:k`` above
-``MOBIUS_MAX`` before building it.  Those two print an ``error:`` line.
+``MOBIUS_MAX`` before building it.  ``flips --orbit`` stops an orbit once
+it has applied more than ``flips.ORBIT_MAX_FLIPS`` flips, since a connected
+sum of k pentagrams takes 500 * 5^(k-4).  Those three print an ``error:``
+line.
 """
 
 from __future__ import annotations
@@ -147,8 +150,9 @@ def analysis_record(d: GaussDiagram, raw: str) -> dict:
     solved = _plane_key(d)  # None, or a plane key and the components
     if solved is not None and len(solved[1]) > ANALYZE_MAX_COMPONENTS:
         raise RealizeError(
-            f"analyze traces and codes all 2^k plane embeddings; {len(solved[1])}"
-            f" interlacement components exceed the limit of {ANALYZE_MAX_COMPONENTS}"
+            f"analyze checks all 2^k plane embeddings and traces and codes one per"
+            f" symmetry orbit; {len(solved[1])} interlacement components exceed"
+            f" the limit of {ANALYZE_MAX_COMPONENTS}"
             " (use 'gaussflip check' for the verdict alone)"
         )
     keys = _plane_keys(d, solved)

@@ -23,7 +23,7 @@ from functools import cached_property
 from itertools import islice
 
 from .diagrams import GaussDiagram, canonical_form
-from .realize import realizable_class
+from .realize import is_realizable
 
 
 class GraphError(ValueError):
@@ -370,14 +370,14 @@ def ham_census(g: CubicGraph) -> CensusReport:
     """Group the graph's Hamiltonian cycles by diagram class.
 
     Every cycle contributes one diagram; entries collect them per canonical
-    word with cycle counts and a realizability verdict, sorted by word.
+    word with cycle counts and the first one's verdict, sorted by word.
     """
-    cycles = hamiltonian_cycles(g)
-    per_word: Counter[str] = Counter()
-    for h in cycles:
-        per_word[canonical_form(diagram_from_cycle(g, h))] += 1
+    found: dict[str, list] = {}  # canonical word -> [cycles, first diagram]
+    for h in hamiltonian_cycles(g):
+        d = diagram_from_cycle(g, h)
+        found.setdefault(canonical_form(d), [0, d])[0] += 1
     entries = tuple(
-        CensusEntry(word, count, realizable_class(word))
-        for word, count in sorted(per_word.items())
+        CensusEntry(word, count, is_realizable(d))
+        for word, (count, d) in sorted(found.items())
     )
     return CensusReport(entries)

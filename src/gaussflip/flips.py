@@ -13,7 +13,6 @@ the theorem this package exists to check -- preserves realizability.
 from __future__ import annotations
 
 import os
-from collections import deque
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from itertools import chain, islice
@@ -27,7 +26,16 @@ from .diagrams import (
     flip_site_count,
     parse_word,
 )
-from .realize import gadget_planarity, is_realizable, realizable_class
+from .realize import gadget_planarity, is_realizable
+
+# `flips --orbit` on a connected sum of k pentagrams (5k chords) applies
+# 500 * 5^(k-4) flips: 500 at 20 chords take 0.07-0.14 s, 2,500 at 25
+# 0.42-0.45 s and 12,500 at 30 2.8 s, in process on a 2-core host.  Every
+# class up to 8 chords needs at most 24 flips, the benchmark's analyze words
+# at most 20, and R_201 2.  Reaching 1,000 flips takes 0.16-0.35 s at 30
+# chords, 0.22-0.44 s at 40 and 0.30-0.62 s at 60; reaching 2,500 took
+# 0.59-0.93 s at 40 and 0.74-1.14 s at 60, too slow for a refusal.
+ORBIT_MAX_FLIPS = 1_000
 
 
 class FlipError(ValueError):
@@ -137,33 +145,44 @@ class FlipOrbit:
 def flip_orbit(d: GaussDiagram) -> FlipOrbit:
     """Breadth-first closure of the flip move over canonical classes.
 
-    Members carry realizability verdicts; edges record which site of which
-    member produced which class (on canonical representatives).
+    Members carry realizability verdicts, decided on the diagram parsed for
+    their flips; edges record which site of which member reached which class.
+    An orbit that takes more than ``ORBIT_MAX_FLIPS`` flips raises ``FlipError``.
     """
     start = canonical_form(d)
-    queue = deque([start])
-    found = {start}
-    edges: list[tuple[str, tuple[int, int], str]] = []
-    while queue:
-        word = queue.popleft()
-        for site, target in _flip_targets(parse_word(word)):
+    queue, found = [start], {start}
+    members, edges = [], []
+    flips = 0
+    for word in queue:  # breadth first: each class found joins the end
+        e = parse_word(word)
+        members.append((word, is_realizable(e)))
+        targets, applied = _flip_targets(e)
+        flips += applied
+        if flips > ORBIT_MAX_FLIPS:
+            raise FlipError(
+                f"flip orbit: {flips} flips over {len(members)} classes exceed"
+                f" the limit of {ORBIT_MAX_FLIPS}"
+            )
+        for site, target in targets:
             edges.append((word, site, target))
             if target not in found:
                 found.add(target)
                 queue.append(target)
-    members = tuple((w, realizable_class(w)) for w in sorted(found))
-    return FlipOrbit(members, tuple(sorted(edges)))
+    return FlipOrbit(tuple(sorted(members)), tuple(sorted(edges)))
 
 
-def _flip_targets(d: GaussDiagram) -> list[tuple[tuple[int, int], str]]:
-    """Each site (i, j) of ``d``, in ``flip_sites`` order, with its flip's class.
+def _flip_targets(
+    d: GaussDiagram,
+) -> tuple[list[tuple[tuple[int, int], str]], int]:
+    """Each site (i, j) of ``d`` with its flip's class, and the flips applied.
 
-    One site per orbit is flipped and canonicalised; every other site of
-    that orbit takes the same class.  The orbits are those of the group
-    generated by the symmetries of d (``_symmetries``) acting on sites,
-    and the swap (i, j) <-> (j, i).  No symmetry but the identity and at
-    most one reflection fixes a site, so an orbit holds at least half as
-    many sites as d has symmetries, and marking every orbit costs O(sites).
+    Sites come in ``flip_sites`` order.  One site per orbit is flipped and
+    canonicalised; every other site of that orbit takes the same class.
+    The orbits are those of the group generated by the symmetries of d
+    (``_symmetries``) acting on sites, and the swap (i, j) <-> (j, i).  No
+    symmetry but the identity and at most one reflection fixes a site, so
+    an orbit holds at least half as many sites as d has symmetries, and
+    marking every orbit costs O(sites).
 
     Proof.  Write the diagram from slot i as P Q alpha P Q beta, with P at
     slots i and j, Q at i + 1 and j + 1, alpha the arc i + 2 .. j - 1 and
@@ -190,17 +209,19 @@ def _flip_targets(d: GaussDiagram) -> list[tuple[tuple[int, int], str]]:
     group = _symmetries(d)
     target_of: dict[tuple[int, int], str] = {}
     targets = []
+    applied = 0
     for site in flip_sites(d):
         i, j = site.i, site.j
         if (i, j) not in target_of:
             target = canonical_form(apply_flip(d, site))
+            applied += 1
             for r, step in group:
                 a, b = ((i + r) % m, (j + r) % m) if step == 1 else (
                     (r - i - 1) % m, (r - j - 1) % m
                 )
                 target_of[a, b] = target_of[b, a] = target
         targets.append(((i, j), target_of[i, j]))
-    return targets
+    return targets, applied
 
 
 @dataclass(frozen=True)

@@ -311,7 +311,11 @@ def is_realizable(d: GaussDiagram) -> bool:
 
 @lru_cache(maxsize=None)
 def realizable_class(word: str) -> bool:
-    """Cached realizability by word; use for sweeps over canonical words."""
+    """Cached realizability by word; no library path calls it.
+
+    The benchmark reads its ``cache_info()``; ROADMAP.md item 5's change to
+    the benchmark deletes it.
+    """
     return is_realizable(parse_word(word))
 
 

@@ -301,6 +301,11 @@ class TestAnalyze:
         assert code == 2
         assert err.startswith("error:")
 
+    def test_malformed_pairs(self, capsys):
+        code, out, err = run_cli(capsys, "analyze", "0-x")
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "'0-x'" in err
+
     @pytest.mark.parametrize(
         "word, limit",
         [
@@ -552,6 +557,16 @@ class TestFlips:
         assert data["members"] == [
             {"word": "ABCADCEDBE", "realizable": False}
         ]
+
+    def test_orbit_over_limit_refused_fast(self, capsys):
+        # a connected sum of 8 pentagrams: its orbit takes 312,500 flips
+        word = " ".join(f"P{p}c{c}" for p in range(8) for _ in "ab" for c in range(5))
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "flips", "--orbit", word)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err.startswith("error: flip orbit:")
+        assert f"exceed the limit of {flips.ORBIT_MAX_FLIPS}\n" in err
 
 
 class TestEnumerate:

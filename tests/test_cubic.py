@@ -11,6 +11,7 @@ from pathlib import Path
 import networkx as nx
 import pytest
 
+from gaussflip import cubic, realize
 from gaussflip.cubic import (
     CubicGraph,
     CycleMismatchError,
@@ -586,6 +587,22 @@ class TestCensus:
         words = {e.word for e in report.entries}
         for fixture in ("AEBACBDCED", "ADBECADBEC", "ACDECABDEB"):
             assert canonical_form(parse_word(fixture)) in words
+
+    def test_each_class_decided_once(self, monkeypatch):
+        # on a diagram read off one of its cycles, not through the
+        # word-keyed cache
+        realize.realizable_class.cache_clear()
+        decided = []
+
+        def counted(d):
+            decided.append(canonical_form(d))
+            return realize.is_realizable(d)
+
+        monkeypatch.setattr(cubic, "is_realizable", counted)
+        report = ham_census(moebius_ladder(5))
+        assert sorted(decided) == [e.word for e in report.entries]
+        assert len(decided) == 3
+        assert realize.realizable_class.cache_info().currsize == 0
 
     def test_petersen_census_empty(self):
         report = ham_census(PETERSEN)

@@ -287,12 +287,18 @@ class TestParsing:
             from_chord_pairs([(0, 9), (1, 2)])
         with pytest.raises(SlotPartitionError):
             from_chord_pairs([(3, 3), (0, 1)])
+        with pytest.raises(SlotPartitionError, match=r"\(0, 1, 2\) does not have 2"):
+            from_chord_pairs([(0, 1, 2), (3, 4)])
 
     def test_pair_text_syntax(self):
         d = parse_chord_pairs("0-5, 1-6, 2-7, 3-8, 4-9")
         assert d == parse_word(WORD_DIAMETERS)
         with pytest.raises(SlotPartitionError):
             parse_chord_pairs("0-5-1")
+        with pytest.raises(EmptyDiagramError):
+            parse_chord_pairs(" , ")
+        with pytest.raises(SlotPartitionError, match="'0-x'"):
+            parse_chord_pairs("1-2, 0-x")
 
     def test_autodetect(self):
         assert parse_diagram_input("ABAB") == parse_word("ABAB")

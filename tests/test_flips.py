@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import multiprocessing
 import os
 import random
@@ -43,7 +44,7 @@ from gaussflip.flips import (
     flip_sites,
     verify_flip_theorem,
 )
-from gaussflip.realize import _gauss_parity, is_realizable
+from gaussflip.realize import _gauss_parity, is_realizable, realizable_class
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 SPAN3 = parse_word("AEBACBDCED")
@@ -161,10 +162,16 @@ def reference_flip_targets(d):
 
 
 def assert_flip_targets_match_reference(diagrams) -> int:
-    """``_flip_targets`` equals canonicalising every site; returns the count."""
+    """``_flip_targets`` equals canonicalising every site; returns the count.
+
+    The flips it reports applying are at least one per reached class, and
+    at most one per site.
+    """
     count = 0
     for d in diagrams:
-        assert flips._flip_targets(d) == reference_flip_targets(d), d.word()
+        targets, applied = flips._flip_targets(d)
+        assert targets == reference_flip_targets(d), d.word()
+        assert len({t for _, t in targets}) <= applied <= len(targets), d.word()
         count += 1
     return count
 
@@ -333,6 +340,35 @@ class TestOrbits:
             for word in canonical_words(n):
                 assert flip_orbit(parse_word(word)).homogeneous(), word
 
+    def test_each_member_decided_once(self, monkeypatch):
+        # on the diagram parsed for its flips, not through the word-keyed cache
+        realizable_class.cache_clear()
+        decided = []
+
+        def counted(d):
+            decided.append(d.word())
+            return is_realizable(d)
+
+        monkeypatch.setattr(flips, "is_realizable", counted)
+        orbit = flip_orbit(DIAMETERS)
+        assert decided == ["ABCDEABCDE", "ABCADEBCED"]  # breadth first
+        assert sorted(decided) == [w for w, _ in orbit.members]
+        assert realizable_class.cache_info().currsize == 0
+
+    def test_flip_limit(self, monkeypatch):
+        # a connected sum of 4 pentagrams takes 500 flips over 90 classes;
+        # the limit is inclusive, and passing it raises after the member
+        # whose flips passed it
+        tokens = [f"P{p}c{c}" for p in range(4) for _ in "ab" for c in range(5)]
+        d = parse_word(" ".join(tokens))
+        calls = count_flips(monkeypatch)
+        monkeypatch.setattr(flips, "ORBIT_MAX_FLIPS", 500)
+        assert len(flip_orbit(d).members) == 90
+        assert calls == [500]
+        monkeypatch.setattr(flips, "ORBIT_MAX_FLIPS", 499)
+        with pytest.raises(FlipError, match="exceed the limit of 499$"):
+            flip_orbit(d)
+
     def test_json_dict(self):
         data = flip_orbit(DIAMETERS).to_json_dict()
         assert {m["word"] for m in data["members"]} == {
@@ -364,7 +400,7 @@ class TestFlipTargets:
         # no two chords are doubly adjacent, so there is nothing to flip
         for n in range(1, 9):
             d = parse_word("".join(chr(65 + c) * 2 for c in range(n)))
-            assert flips._flip_targets(d) == reference_flip_targets(d) == []
+            assert flips._flip_targets(d) == (reference_flip_targets(d), 0) == ([], 0)
 
     def test_one_flip_per_member_of_a_large_rosette(self, monkeypatch):
         calls = count_flips(monkeypatch)
@@ -541,6 +577,40 @@ class TestTheoremSweep:
         assert {c.before for c in bad} == {True, False}
         assert len({c.word for c in bad}) == 5
         assert not report.ok()
+
+    def test_counterexample_output_matches_all_sites_sweep(self, monkeypatch):
+        # `verify` with the TURNED verdicts: exit 3, the summary counts the
+        # counterexamples, one line each follows in sweep order, and the
+        # JSON lists the same ones
+        real = flips.is_realizable
+        monkeypatch.setattr(
+            flips, "is_realizable", lambda d: real(d) != (canonical_form(d) in self.TURNED)
+        )
+        bad, mismatches = all_sites_sweep(7)
+        sites = sum(
+            len(flip_sites(parse_word(w))) for n in range(1, 8) for w in canonical_words(n)
+        )
+        out, code = verify_output(verify_flip_theorem, "--max-chords", "7")
+        assert code == 3
+        assert out.splitlines() == [
+            f"flip theorem up to 7 chords: 5941 diagram classes, {sites} flips"
+            f" checked, {len(bad)} COUNTEREXAMPLES",
+            *(
+                f"  counterexample {c.word} site ({c.i}, {c.j}): {c.before} -> {c.after}"
+                for c in bad
+            ),
+            "oracle agreement up to 7 chords: 2 DISAGREEMENTS",
+            *(f"  oracle mismatch on {w}" for w in mismatches),
+        ]
+        out, code = verify_output(verify_flip_theorem, "--max-chords", "7", "--json")
+        assert code == 3
+        data = json.loads(out)
+        assert data["flip_theorem"]["sites_checked"] == sites
+        assert data["flip_theorem"]["counterexamples"] == [
+            {"word": c.word, "site": [c.i, c.j], "before": c.before, "after": c.after}
+            for c in bad
+        ]
+        assert data["oracle_agreement"]["mismatches"] == list(mismatches)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_pruned_sweep_matches_all_class_sweep(self, workers):
