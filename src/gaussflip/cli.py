@@ -25,10 +25,10 @@ unrealizable diagram of more than ``ANALYZE_MAX_UNREALIZABLE`` chords and
 a realizable one of more than ``ANALYZE_MAX_COMPONENTS`` interlacement
 components, whose 2^n or 2^k walks would run for seconds to hours;
 ``check`` decides either in O(n^2).  ``graph`` refuses ``mobius:k`` above
-``MOBIUS_MAX`` before building it.  ``flips --orbit`` stops an orbit once
-it has applied more than ``flips.ORBIT_MAX_FLIPS`` flips, since a connected
-sum of k pentagrams takes 500 * 5^(k-4).  Those three print an ``error:``
-line.
+``MOBIUS_MAX``, which bounds building the ladder and ``iso``; ``hamcycles``
+and ``census`` on a ladder still grow as k^3.  ``flips --orbit`` stops an
+orbit past ``flips.ORBIT_MAX_FLIPS`` flips: a connected sum of k pentagrams
+takes 500 * 5^(k-4).  Those three print an ``error:`` line.
 """
 
 from __future__ import annotations

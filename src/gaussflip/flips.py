@@ -36,6 +36,7 @@ from .realize import gadget_planarity, is_realizable
 # chords, 0.22-0.44 s at 40 and 0.30-0.62 s at 60; reaching 2,500 took
 # 0.59-0.93 s at 40 and 0.74-1.14 s at 60, too slow for a refusal.
 ORBIT_MAX_FLIPS = 1_000
+BATCH = 128  # items per pool task; ``_pooled`` maps a single batch itself
 
 
 class FlipError(ValueError):
@@ -103,10 +104,10 @@ def apply_flip(d: GaussDiagram, site: FlipSite) -> GaussDiagram:
     arc moves to the mirrored slot, and labels ride along with their
     chords.  ``move[s]`` is the mirror of slot s across the arc, or s off
     it, so the new pairing is ``move[pairing[move[s]]]`` and new slot s
-    holds the chord that sat at ``move[s]``.  A site is one slot's reading
-    of the site rule, so checking it re-reads slot ``site.i`` alone: O(1).
+    holds the chord that sat at ``move[s]``.  A site is stale unless slot
+    ``site.i`` reads (i, j) by the site rule, in O(1); labels come from ``d``.
     """
-    if not (0 <= site.i < 2 * d.n and _site_at(d, site.i) == site):
+    if not (0 <= site.i < 2 * d.n and d.pairing[site.i] == site.j and _site_at(d, site.i)):
         raise StaleSiteError(
             f"site (i={site.i}, j={site.j}) does not describe this diagram"
         )
@@ -156,7 +157,7 @@ def flip_orbit(d: GaussDiagram) -> FlipOrbit:
     for word in queue:  # breadth first: each class found joins the end
         e = parse_word(word)
         members.append((word, is_realizable(e)))
-        targets, applied = _flip_targets(e)
+        targets, applied = _flip_targets(e, canonical_form)
         flips += applied
         if flips > ORBIT_MAX_FLIPS:
             raise FlipError(
@@ -171,13 +172,12 @@ def flip_orbit(d: GaussDiagram) -> FlipOrbit:
     return FlipOrbit(tuple(sorted(members)), tuple(sorted(edges)))
 
 
-def _flip_targets(
-    d: GaussDiagram,
-) -> tuple[list[tuple[tuple[int, int], str]], int]:
-    """Each site (i, j) of ``d`` with its flip's class, and the flips applied.
+def _flip_targets(d: GaussDiagram, read: Callable) -> tuple[list[tuple], int]:
+    """Each site (i, j) of ``d`` with ``read`` of its flip, and the flips applied.
 
-    Sites come in ``flip_sites`` order.  One site per orbit is flipped and
-    canonicalised; every other site of that orbit takes the same class.
+    Sites come in ``flip_sites`` order.  ``read`` is a class property, such
+    as ``canonical_form`` or ``is_realizable``: one site per orbit is flipped
+    and read, and every other site of that orbit reaches the same class.
     The orbits are those of the group generated by the symmetries of d
     (``_symmetries``) acting on sites, and the swap (i, j) <-> (j, i).  No
     symmetry but the identity and at most one reflection fixes a site, so
@@ -207,13 +207,13 @@ def _flip_targets(
     """
     m = 2 * d.n
     group = _symmetries(d)
-    target_of: dict[tuple[int, int], str] = {}
+    target_of: dict[tuple[int, int], object] = {}
     targets = []
     applied = 0
     for site in flip_sites(d):
         i, j = site.i, site.j
         if (i, j) not in target_of:
-            target = canonical_form(apply_flip(d, site))
+            target = read(apply_flip(d, site))
             applied += 1
             for r, step in group:
                 a, b = ((i + r) % m, (j + r) % m) if step == 1 else (
@@ -302,31 +302,31 @@ def _check_class(d: GaussDiagram) -> tuple[list[FlipCounterexample], list[str]]:
     """One class of the sweep: its counterexamples and oracle mismatch.
 
     The class is decided once and its verdict compared with the gadget's.
-    Only a realizable class lists, applies and decides its flips.  A flip
-    is an involution on classes, so a flip that changes realizability has
-    a realizable end.  When a flip from here lands on an unrealizable
-    class, that class joins the queue with the verdict the flip gave it,
-    since realizability is a class property, and all of its sites are
-    checked too; its counterexamples come under its own canonical word.
-    A class is spelt only when it is reported.
+    Only a realizable class decides its flips: a flip is an involution on
+    classes, so one that changes realizability has a realizable end.
+    Realizability is a class property and every site of an orbit reaches
+    one class (``_flip_targets``' proof), so one decision per orbit gives
+    every site its verdict.  A reached unrealizable class joins the queue
+    with the verdict the flip gave it, and its sites are checked too, under
+    its own canonical word, spelt only then.
     """
     bad: list[FlipCounterexample] = []
     before = is_realizable(d)
     queue = [(d, True)] if before else []
     for e, verdict in queue:  # d, then each unrealizable class its flips reach
-        for site in flip_sites(e):
-            flipped = apply_flip(e, site)
-            if is_realizable(flipped) != verdict:
-                bad.append(FlipCounterexample(e.word(), site.i, site.j, verdict, not verdict))
+        for (i, j), after in _flip_targets(e, is_realizable)[0]:
+            if after != verdict:
+                bad.append(FlipCounterexample(e.word(), i, j, verdict, after))
                 if verdict:
-                    queue.append((parse_word(canonical_form(flipped)), False))
+                    reached = canonical_form(apply_flip(e, _site_at(e, i)))
+                    queue.append((parse_word(reached), False))
     return bad, [] if before == gadget_planarity(d) else [d.word()]
 
 
 def _pooled(check: Callable, items: Iterable, workers: int) -> Iterator:
     """``map(check, items)`` on a pool that checks while items still arrive.
 
-    The pool sends items in batches of 128 and yields results in order.
+    The pool sends items in batches of ``BATCH`` and yields results in order.
     Its task thread blocks while the pipe to the workers is full, so the
     caller's memory stays flat however many items ``items`` yields.
     Rule: the pool starts only when ``items`` holds more than one batch and
@@ -336,16 +336,16 @@ def _pooled(check: Callable, items: Iterable, workers: int) -> Iterator:
     such a stream itself.
     """
     items = iter(items)
-    head = list(islice(items, 129))
+    head = list(islice(items, BATCH + 1))
     workers = min(workers, os.cpu_count() or 1)
-    if len(head) <= 128 or workers < 2:
+    if len(head) <= BATCH or workers < 2:
         yield from map(check, chain(head, items))
         return
     # imported here, so that no other command loads multiprocessing
     from multiprocessing import Pool
 
     with Pool(workers) as pool:
-        yield from pool.imap(check, chain(head, items), chunksize=128)
+        yield from pool.imap(check, chain(head, items), chunksize=BATCH)
 
 
 def verify_flip_theorem(max_n: int, workers: int = 1) -> FlipTheoremReport:

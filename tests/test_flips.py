@@ -105,6 +105,37 @@ def all_sites_sweep(max_n):
     return tuple(bad), tuple(mismatches)
 
 
+# realizable ABCDEABCDE (class 26 of the parity-passing sweep up to 7
+# chords) and unrealizable ABCABDEFGCDEFG (class 305, another batch)
+# have flips to other classes of their own verdict; turning both
+# verdicts makes flips change realizability in both directions.  Both
+# pass slot parity: the sweep never visits a failing class, and need
+# not, since the real decision rejects every one of them.  Up to 6
+# chords no unrealizable class that passes has a flip to another class.
+TURNED = ("ABCDEABCDE", "ABCABDEFGCDEFG")
+
+
+def turned(real):
+    """``real`` with the verdicts of the ``TURNED`` classes turned."""
+    return lambda d: real(d) != (canonical_form(d) in TURNED)
+
+
+def assert_turned_sweeps_match(max_n) -> int:
+    """The sweep's report with the ``TURNED`` verdicts, against ``all_sites_sweep``.
+
+    With 1 and 2 workers, the sweep lists the reference's counterexamples
+    and mismatches.  Returns the number of counterexamples.  Pool workers are forked, so
+    they inherit the patch.  CI runs it at 8 chords.
+    """
+    with patch.object(flips, "is_realizable", turned(flips.is_realizable)):
+        bad, mismatches = all_sites_sweep(max_n)
+        for workers in (1, 2):
+            report = verify_flip_theorem(max_n, workers=workers)
+            assert report.counterexamples == bad, workers
+            assert report.oracle_mismatches == mismatches == TURNED, workers
+    return len(bad)
+
+
 def _word_and_check(word):
     """A class's word and its ``check_word_flips`` result: one pool task."""
     return word, check_word_flips(word)
@@ -156,22 +187,24 @@ def assert_sweeps_match(max_n, workers):
     return compared
 
 
-def reference_flip_targets(d):
-    """Every site of d with the class its flip reaches, each flip canonicalised."""
-    return [((s.i, s.j), canonical_form(apply_flip(d, s))) for s in flip_sites(d)]
+def reference_flip_targets(d, read):
+    """Every site of d with ``read`` of its flip, each site flipped and read."""
+    return [((s.i, s.j), read(apply_flip(d, s))) for s in flip_sites(d)]
 
 
 def assert_flip_targets_match_reference(diagrams) -> int:
-    """``_flip_targets`` equals canonicalising every site; returns the count.
+    """``_flip_targets`` equals flipping every site; returns the count.
 
-    The flips it reports applying are at least one per reached class, and
-    at most one per site.
+    Both reads are checked: canonicalising every flip, and deciding every
+    flip's realizability.  The flips it reports applying are at least one
+    per reached class, and at most one per site.
     """
     count = 0
     for d in diagrams:
-        targets, applied = flips._flip_targets(d)
-        assert targets == reference_flip_targets(d), d.word()
-        assert len({t for _, t in targets}) <= applied <= len(targets), d.word()
+        for read in (canonical_form, is_realizable):
+            targets, applied = flips._flip_targets(d, read)
+            assert targets == reference_flip_targets(d, read), (d.word(), read)
+            assert len({t for _, t in targets}) <= applied <= len(targets), d.word()
         count += 1
     return count
 
@@ -291,9 +324,14 @@ class TestApply:
             apply_flip(MIXED, site)
         with pytest.raises(StaleSiteError):
             apply_flip(DIAMETERS, FlipSite(0, 12, "A", "D"))
-        # right slots, wrong chords: the whole site must match
-        with pytest.raises(StaleSiteError):
-            apply_flip(parse_word("CDCD"), flip_sites(parse_word("ABAB"))[0])
+
+    def test_site_of_an_equal_diagram_is_not_stale(self):
+        # XYXY == ABAB, as equality rests on the pairing alone: a site is
+        # stale only if its slots are, and the labels come from the diagram
+        d = parse_word("XYXY")
+        for site, own in zip(flip_sites(parse_word("ABAB")), flip_sites(d)):
+            flipped, want = apply_flip(d, site), apply_flip(d, own)
+            assert (flipped, flipped.labels) == (want, want.labels)
 
     def test_every_unlisted_site_is_stale(self):
         for word in ("AABB", "ABAB", "ADBECADBEC"):
@@ -400,7 +438,8 @@ class TestFlipTargets:
         # no two chords are doubly adjacent, so there is nothing to flip
         for n in range(1, 9):
             d = parse_word("".join(chr(65 + c) * 2 for c in range(n)))
-            assert flips._flip_targets(d) == (reference_flip_targets(d), 0) == ([], 0)
+            want = (reference_flip_targets(d, canonical_form), 0)
+            assert flips._flip_targets(d, canonical_form) == want == ([], 0)
 
     def test_one_flip_per_member_of_a_large_rosette(self, monkeypatch):
         calls = count_flips(monkeypatch)
@@ -520,8 +559,9 @@ class TestTheoremSweep:
 
     def test_gadget_and_flips_only_where_needed(self, monkeypatch):
         # up to 6 chords: 80 of the 658 classes pass slot parity, and the
-        # 68 realizable ones apply 100 of the 820 flips; each diagram is
-        # built once, as the enumeration yields it or a flip makes it
+        # 68 realizable ones hold 100 of the 820 sites in 28 site orbits,
+        # one flip each; each diagram is built once, as the enumeration
+        # yields it or a flip makes it
         calls = Counter()
 
         def counting(owner, name):
@@ -540,39 +580,31 @@ class TestTheoremSweep:
         assert report.sites_checked == 820
         assert calls == {
             "gadget_planarity": 80,
-            "apply_flip": 100,
-            "__post_init__": 180,
+            "apply_flip": 28,
+            "__post_init__": 108,
         }
-
-    # realizable ABCDEABCDE (class 26 of the parity-passing sweep up to 7
-    # chords) and unrealizable ABCABDEFGCDEFG (class 305, another batch)
-    # have flips to other classes of their own verdict; turning both
-    # verdicts makes flips change realizability in both directions.  Both
-    # pass slot parity: the sweep never visits a failing class, and need
-    # not, since the real decision rejects every one of them.  Up to 6
-    # chords no unrealizable class that passes has a flip to another class.
-    TURNED = ("ABCDEABCDE", "ABCABDEFGCDEFG")
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_counterexamples_match_all_sites_sweep(self, monkeypatch, workers):
-        real = flips.is_realizable
+        real = turned(flips.is_realizable)
         decided = []
 
-        def turned(d):
+        def counted(d):
             decided.append(d)
-            return real(d) != (canonical_form(d) in self.TURNED)
+            return real(d)
 
-        monkeypatch.setattr(flips, "is_realizable", turned)
+        monkeypatch.setattr(flips, "is_realizable", counted)
         bad, mismatches = all_sites_sweep(7)
         decided.clear()
         report = verify_flip_theorem(7, workers=workers)
         if workers == 1:  # pool workers decide in their own processes
-            # the 340 classes, the 418 flips of the realizable ones, and the
-            # 44 flips of the 8 unrealizable classes those flips reach: each
+            # the 340 classes, one flip per site orbit of the realizable
+            # ones (146 for their 418 sites), and one per site orbit of the 8
+            # unrealizable classes those flips reach (14 for 44 sites): each
             # reached class takes its flip's verdict and is not decided again
-            assert len(decided) == 340 + 418 + 44
+            assert len(decided) == 340 + 146 + 14
         assert report.counterexamples == bad
-        assert report.oracle_mismatches == mismatches == self.TURNED
+        assert report.oracle_mismatches == mismatches == TURNED
         # the unrealizable ends come only from re-checking reached classes
         assert {c.before for c in bad} == {True, False}
         assert len({c.word for c in bad}) == 5
@@ -582,10 +614,7 @@ class TestTheoremSweep:
         # `verify` with the TURNED verdicts: exit 3, the summary counts the
         # counterexamples, one line each follows in sweep order, and the
         # JSON lists the same ones
-        real = flips.is_realizable
-        monkeypatch.setattr(
-            flips, "is_realizable", lambda d: real(d) != (canonical_form(d) in self.TURNED)
-        )
+        monkeypatch.setattr(flips, "is_realizable", turned(flips.is_realizable))
         bad, mismatches = all_sites_sweep(7)
         sites = sum(
             len(flip_sites(parse_word(w))) for n in range(1, 8) for w in canonical_words(n)
