@@ -26,7 +26,7 @@ a realizable one of more than ``ANALYZE_MAX_COMPONENTS`` interlacement
 components, whose 2^n or 2^k walks would run for seconds to hours;
 ``check`` decides either in O(n^2).  ``graph`` refuses ``mobius:k`` above
 ``MOBIUS_MAX``, which bounds building the ladder and ``iso``; ``hamcycles``
-and ``census`` on a ladder still grow as k^3.  ``flips --orbit`` stops an
+and ``census`` on a ladder still grow as about k^3.  ``flips --orbit`` stops an
 orbit past ``flips.ORBIT_MAX_FLIPS`` flips: a connected sum of k pentagrams
 takes 500 * 5^(k-4).  Those three print an ``error:`` line.
 """
@@ -94,9 +94,11 @@ ANALYZE_MAX_UNREALIZABLE = 16
 # take 2.1-2.4 s, and in nests of 1 to 5 chords (k = 15) 4.2-4.6 s, on the
 # same host.  14 isolated chords, with 28 symmetries, take 0.49-0.57 s.
 ANALYZE_MAX_COMPONENTS = 14
-# `graph iso mobius:k mobius:k --json` takes 0.5 s and 41 MB at k = 10^4
-# and 3.7 s and 254 MB at k = 10^5 on a 2-core host; the ladder is built
-# before any other check, so a larger k is refused as input.
+# `graph iso mobius:k mobius:k --json` takes 0.30-0.36 s and 38 MB at
+# k = 10^4 and 2.4-2.8 s and 253 MB at k = 10^5 on a 2-core host; the
+# ladder is built before any other check, so a larger k is refused as
+# input.  `graph hamcycles mobius:200` takes 1.0-1.1 s there, and grows as
+# about k^3.
 MOBIUS_MAX = 100_000
 
 

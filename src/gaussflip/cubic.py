@@ -163,7 +163,7 @@ class HamCycle:
 def hamiltonian_cycles(g: CubicGraph) -> list[HamCycle]:
     """All Hamiltonian cycles, each once, sorted by vertex sequence.
 
-    One depth-first search grows a path from vertex 0 and keeps its state
+    A depth-first search grows a path from vertex 0 and keeps its state
     on an explicit stack, so the depth is not bounded by Python recursion.
     A path vertex other than its two ends (0 and the tail) is *inside*:
     both of its cycle edges are fixed.  Every vertex still off the path
@@ -179,21 +179,38 @@ def hamiltonian_cycles(g: CubicGraph) -> list[HamCycle]:
     only step left, and when two are, none is.  A cycle through a dropped
     step would need an edge to an inside vertex, so no cycle is lost.
 
-    The search tries each vertex's neighbors in ascending order, so it
-    meets whole paths in lexicographic order, and it emits a cycle only
-    from vertex 0 with ``path[1]`` below the last vertex, which is the
-    cycle's stored form: the list comes out sorted with no sort.  A cubic
-    graph on two vertices is the triple edge, since loops are refused.
+    Only the stored form is searched: ``path[1]`` is a distinct neighbor
+    ``a`` of 0 below the closing vertex.  One pass runs per ``a`` but the
+    largest, ascending, on the graph less the edges from 0 to its neighbors
+    below ``a``: a cycle stored with ``path[1] = a`` leaves 0 along a and
+    closes from above a, so it uses none of them, and every off-path rule
+    above holds in that graph too.  There the closing test is adjacency to
+    0.  Each pass tries neighbors in ascending order, so it meets whole
+    paths in lexicographic order: the list comes out sorted with no sort.
+    A cubic graph on two vertices is the triple edge, since loops are
+    refused.
     """
     if g.m == 2:
         return [HamCycle((0, 1))]
-    nbrs = g.neighbor_sets
+    out: list[HamCycle] = []
+    firsts = g.neighbor_sets[0]
+    for k in range(len(firsts) - 1):
+        nbrs = list(g.neighbor_sets)
+        nbrs[0] = firsts[k:]
+        for b in firsts[:k]:  # b loses its edges to 0
+            nbrs[b] = tuple(x for x in nbrs[b] if x)
+        _cycles_from(nbrs, firsts[k], out)
+    return out
+
+
+def _cycles_from(nbrs: list[tuple[int, ...]], a: int, out: list[HamCycle]) -> None:
+    """One pass of ``hamiltonian_cycles``: append the cycles 0, a, ..., 0."""
+    m = len(nbrs)
     free = [len(s) for s in nbrs]
-    on_path = [False] * g.m
+    on_path = [False] * m
     on_path[0] = True
     path = [0]
-    stack = [iter(nbrs[0])]  # the steps left to try from each path vertex
-    out: list[HamCycle] = []
+    stack = [iter((a,))]  # the steps left to try from each path vertex
     while stack:
         for w in stack[-1]:
             break
@@ -205,8 +222,8 @@ def hamiltonian_cycles(g: CubicGraph) -> list[HamCycle]:
                 for x in nbrs[v]:
                     free[x] += 1
             continue
-        if len(path) == g.m - 1:
-            if 0 in nbrs[w] and path[1] < w:
+        if len(path) == m - 1:
+            if 0 in nbrs[w]:
                 out.append(HamCycle((*path, w)))
             continue
         path.append(w)
@@ -226,7 +243,6 @@ def hamiltonian_cycles(g: CubicGraph) -> list[HamCycle]:
         elif low is not None:
             steps = [low]
         stack.append(iter(steps))
-    return out
 
 
 def diagram_from_cycle(g: CubicGraph, cycle: HamCycle) -> GaussDiagram:
@@ -281,6 +297,42 @@ def _bfs_order(g: CubicGraph) -> list[int]:
     return order
 
 
+def _bipartite(g: CubicGraph) -> bool:
+    """Two-colour the vertices in ``_bfs_order``."""
+    side = [-1] * g.m
+    for v in _bfs_order(g):
+        if side[v] < 0:
+            side[v] = 0
+        for w in g.neighbor_sets[v]:
+            if side[w] < 0:
+                side[w] = 1 - side[v]
+            elif side[w] == side[v]:
+                return False
+    return True
+
+
+def _ball_invariants(g: CubicGraph) -> list[tuple[int, int, int, int]]:
+    """Per vertex: the vertices at distance 1, 2 and 3, and the edges
+    (parallel ones repeated) joining two vertices at one distance up to 3."""
+    out = []
+    for v in range(g.m):
+        dist = {v: 0}
+        layer = [v]
+        sizes = []
+        for d in (1, 2, 3):
+            ahead = []
+            for u in layer:
+                for x in g.neighbor_sets[u]:
+                    if x not in dist:
+                        dist[x] = d
+                        ahead.append(x)
+            sizes.append(len(ahead))
+            layer = ahead
+        level = sum(dist.get(x) == d for u, d in dist.items() for x in g._adjacency[u])
+        out.append((*sizes, level // 2))
+    return out
+
+
 def are_isomorphic(
     g1: CubicGraph, g2: CubicGraph
 ) -> tuple[bool, dict[int, int] | None]:
@@ -295,6 +347,15 @@ def are_isomorphic(
     Each depth keeps its placed neighbors' images and the candidates it
     has left on an explicit stack, so the depth is not bounded by Python
     recursion.
+
+    Once the root's first image has failed, the search refines, once: each
+    vertex gets its ``_ball_invariants`` entry and each graph its
+    bipartiteness.  An isomorphism keeps all of them, so graphs whose
+    sorted lists differ are not isomorphic, and a candidate whose entry
+    differs from its vertex's leads to no isomorphism.  Skipping such
+    candidates drops only branches holding no complete mapping, so the
+    witness is still the least isomorphism.  A search that never moves
+    the root, as on a graph against itself, computes none of this.
     """
     m = g1.m
     if m != g2.m:  # cubic, so the edge counts then agree too
@@ -306,14 +367,29 @@ def are_isomorphic(
     # entries are replaced on the way down, never mutated
     arounds: list[list[int]] = [[]] * m
     pools: list[Iterator[int]] = [iter(range(m))] * m
+    # invariant class of each vertex: one shared list until refined
+    kind1 = kind2 = [0] * m
+    adjacency2 = g2._adjacency
     depth = 0
     while depth >= 0:
         v = order[depth]
         if image[v] >= 0:  # undo the candidate tried last
             used[image[v]] = False
+            if depth == 0 and kind1 is kind2:  # the root moves: refine
+                inv1, inv2 = _ball_invariants(g1), _ball_invariants(g2)
+                if (_bipartite(g1), sorted(inv1)) != (_bipartite(g2), sorted(inv2)):
+                    return False, None
+                kinds = {t: i for i, t in enumerate(set(inv1))}
+                kind1 = [kinds[t] for t in inv1]
+                kind2 = [kinds[t] for t in inv2]
         around = arounds[depth]
+        kind = kind1[v]
         for w in pools[depth]:
-            if not used[w] and around == [x for x in g2._adjacency[w] if used[x]]:
+            if (
+                not used[w]
+                and kind2[w] == kind
+                and around == [x for x in adjacency2[w] if used[x]]
+            ):
                 break
         else:
             image[v] = -1

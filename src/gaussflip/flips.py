@@ -307,19 +307,23 @@ def _check_class(d: GaussDiagram) -> tuple[list[FlipCounterexample], list[str]]:
     Realizability is a class property and every site of an orbit reaches
     one class (``_flip_targets``' proof), so one decision per orbit gives
     every site its verdict.  A reached unrealizable class joins the queue
-    with the verdict the flip gave it, and its sites are checked too, under
-    its own canonical word, spelt only then.
+    once, however many sites reach it, with the verdict the flip gave it,
+    and its sites are checked too, under its own canonical word, spelt
+    only then.
     """
     bad: list[FlipCounterexample] = []
     before = is_realizable(d)
     queue = [(d, True)] if before else []
+    queued: set[str] = set()  # canonical words of the reached classes
     for e, verdict in queue:  # d, then each unrealizable class its flips reach
         for (i, j), after in _flip_targets(e, is_realizable)[0]:
             if after != verdict:
                 bad.append(FlipCounterexample(e.word(), i, j, verdict, after))
                 if verdict:
                     reached = canonical_form(apply_flip(e, _site_at(e, i)))
-                    queue.append((parse_word(reached), False))
+                    if reached not in queued:
+                        queued.add(reached)
+                        queue.append((parse_word(reached), False))
     return bad, [] if before == gadget_planarity(d) else [d.word()]
 
 

@@ -59,10 +59,14 @@ PRISM5 = prism(5)
 TRIPLE_EDGE = CubicGraph(((0, 1), (0, 1), (0, 1)))
 
 
+def renumbered(g: CubicGraph, perm: list[int]) -> CubicGraph:
+    return CubicGraph([(perm[u], perm[v]) for u, v in g.edges])
+
+
 def relabelled(rng: random.Random, g: CubicGraph) -> CubicGraph:
     perm = list(range(g.m))
     rng.shuffle(perm)
-    return CubicGraph([(perm[u], perm[v]) for u, v in g.edges])
+    return renumbered(g, perm)
 
 
 def carries_edges(g: CubicGraph, h: CubicGraph, witness: dict[int, int]) -> bool:
@@ -109,6 +113,60 @@ def reference_hamiltonian_cycles(g: CubicGraph) -> list[HamCycle]:
     extend(0)
     out.sort(key=lambda h: h.vertices)
     return out
+
+
+def assert_cycles_match_reference(words) -> int:
+    """``hamiltonian_cycles`` against the unpruned search on each word's graph.
+
+    Each graph is checked as built and relabelled.  Returns the number of
+    graphs checked.  CI runs it on every class of 7 chords.
+    """
+    rng = random.Random(11)
+    count = 0
+    for word in words:
+        g = graph_from_diagram(parse_word(word))[0]
+        for h in (g, relabelled(rng, g)):
+            assert hamiltonian_cycles(h) == reference_hamiltonian_cycles(h), word
+            count += 1
+    return count
+
+
+def reference_are_isomorphic(
+    g1: CubicGraph, g2: CubicGraph
+) -> tuple[bool, dict[int, int] | None]:
+    """The unrefined search: ``are_isomorphic`` with no invariant to skip by."""
+    m = g1.m
+    if m != g2.m:
+        return False, None
+    order = cubic._bfs_order(g1)
+    image = [-1] * m
+    used = [False] * m
+    arounds: list[list[int]] = [[]] * m
+    pools = [iter(range(m))] * m
+    depth = 0
+    while depth >= 0:
+        v = order[depth]
+        if image[v] >= 0:
+            used[image[v]] = False
+        around = arounds[depth]
+        for w in pools[depth]:
+            if not used[w] and around == [x for x in g2._adjacency[w] if used[x]]:
+                break
+        else:
+            image[v] = -1
+            depth -= 1
+            continue
+        image[v] = w
+        used[w] = True
+        depth += 1
+        if depth == m:
+            return True, dict(enumerate(image))
+        v = order[depth]
+        arounds[depth] = around = sorted(
+            image[u] for u in g1._adjacency[v] if image[u] >= 0
+        )
+        pools[depth] = iter(g2.neighbor_sets[around[0]] if around else range(m))
+    return False, None
 
 
 def matching_cycles(g: CubicGraph) -> set[HamCycle]:
@@ -335,7 +393,9 @@ class TestHamiltonianCycles:
         assert hamiltonian_cycles(PETERSEN) == []
 
     def test_triple_edge(self):
+        # the one graph the passes over 0's neighbours do not handle
         assert hamiltonian_cycles(TRIPLE_EDGE) == [HamCycle((0, 1))]
+        assert reference_hamiltonian_cycles(TRIPLE_EDGE) == [HamCycle((0, 1))]
 
     def test_closed_form_counts_on_ladders_and_prisms(self):
         # Moebius ladders: k + 3 cycles for odd k, k + 1 for even k;
@@ -355,12 +415,41 @@ class TestHamiltonianOracles:
     """The pruned search against the unpruned one and against matchings."""
 
     def test_reference_search_up_to_six_chords(self):
-        rng = random.Random(11)
-        for n in range(1, 7):
-            for word in canonical_words(n):
-                g = graph_from_diagram(parse_word(word))[0]
-                for h in (g, relabelled(rng, g)):
-                    assert hamiltonian_cycles(h) == reference_hamiltonian_cycles(h), word
+        words = (w for n in range(1, 7) for w in canonical_words(n))
+        assert assert_cycles_match_reference(words) == 1316
+
+    def test_vertex_zero_on_a_double_edge(self):
+        # AABCBC: 0 is joined to 1 twice and to 5 once, so it has two
+        # distinct neighbours and one pass; number the double one either
+        # side of the single one
+        g = graph_from_diagram(parse_word("AABCBC"))[0]
+        assert g.neighbor_sets[0] == (1, 5) and g.multiplicity(0, 1) == 2
+        swapped = renumbered(g, [0, 5, 2, 3, 4, 1])
+        assert swapped.neighbor_sets[0] == (1, 5) and swapped.multiplicity(0, 5) == 2
+        for h in (g, swapped):
+            cycles = hamiltonian_cycles(h)
+            assert cycles == reference_hamiltonian_cycles(h)
+            assert set(cycles) == matching_cycles(h) and len(cycles) == 2
+
+    @pytest.mark.parametrize("order", list(permutations(range(3))))
+    def test_neighbours_of_zero_in_every_order(self, order):
+        # 0's three neighbours take the three lowest other numbers in each
+        # order, so each edge at 0 is in turn the one the passes leave out
+        # of the closing test; both graphs have cycles through every pair
+        # of 0's edges
+        for g in (moebius_ladder(5), random_diagram_graph(random.Random(3), 8)):
+            firsts = g.neighbor_sets[0]
+            rest = [v for v in range(1, g.m) if v not in firsts]
+            perm = [0] * g.m
+            for v, new in zip((*firsts, *rest), (*(1 + i for i in order), *range(4, g.m))):
+                perm[v] = new
+            h = renumbered(g, perm)
+            cycles = hamiltonian_cycles(h)
+            assert cycles == reference_hamiltonian_cycles(h)
+            assert {frozenset((c.vertices[1], c.vertices[-1])) for c in cycles} == {
+                frozenset(p) for p in ((1, 2), (1, 3), (2, 3))
+            }
+            assert len(cycles) == len(hamiltonian_cycles(g))
 
     def test_matching_oracle_on_random_diagram_graphs(self):
         rng = random.Random(5)
@@ -569,6 +658,71 @@ class TestIsomorphismOracle:
         )
         assert self.agrees(two_k4, relabelled(random.Random(1), two_k4))
         assert self.agrees(two_k4, moebius_ladder(4))
+
+
+class TestIsomorphismWitness:
+    """Verdicts and witnesses against the unrefined search, dict for dict."""
+
+    @staticmethod
+    def same(g: CubicGraph, h: CubicGraph) -> bool:
+        return are_isomorphic(g, h) == reference_are_isomorphic(g, h)
+
+    def test_relabellings_up_to_six_chords(self):
+        rng = random.Random(3)
+        for n in range(1, 7):
+            for word in canonical_words(n):
+                g = graph_from_diagram(parse_word(word))[0]
+                assert self.same(g, relabelled(rng, g)), word
+
+    def test_same_size_pairs_up_to_four_chords(self):
+        for n in range(1, 5):
+            graphs = [
+                graph_from_diagram(parse_word(w))[0] for w in canonical_words(n)
+            ]
+            for g in graphs:
+                for h in graphs:
+                    assert self.same(g, h)
+
+    def test_ladder_against_prism(self):
+        for k in range(3, 25):
+            assert self.same(moebius_ladder(k), prism(k)), k
+
+    def test_random_pairs(self):
+        rng = random.Random(17)
+        for n in range(8, 15):
+            for _ in range(4):
+                g, h = random_diagram_graph(rng, n), random_diagram_graph(rng, n)
+                assert self.same(g, h), (g.edges, h.edges)
+                assert self.same(g, relabelled(rng, g)), g.edges
+
+    def test_pair_the_invariant_cannot_tell_apart(self):
+        # equal invariant lists and bipartiteness: the search itself rejects
+        g = graph_from_diagram(parse_word("ABCABDECDE"))[0]
+        h = graph_from_diagram(parse_word("ABCADCEDBE"))[0]
+        assert sorted(cubic._ball_invariants(g)) == sorted(cubic._ball_invariants(h))
+        assert cubic._bipartite(g) == cubic._bipartite(h)
+        assert not nx.is_isomorphic(nx.MultiGraph(g.edges), nx.MultiGraph(h.edges))
+        assert are_isomorphic(g, h) == (False, None) == reference_are_isomorphic(g, h)
+
+    def test_refines_only_once_the_root_moves(self, monkeypatch):
+        calls = []
+        real = cubic._ball_invariants
+
+        def counted(g):
+            calls.append(g)
+            return real(g)
+
+        monkeypatch.setattr(cubic, "_ball_invariants", counted)
+        g = moebius_ladder(50)
+        assert are_isomorphic(g, g)[0] and calls == []
+        assert are_isomorphic(g, prism(50)) == (False, None)
+        assert calls == [g, prism(50)]
+
+    def test_bipartite_against_oracle(self):
+        for g in (K4, K33, PETERSEN, PRISM5, moebius_ladder(5), moebius_ladder(6)):
+            assert cubic._bipartite(g) == oracle_bipartite(g)
+        two = CubicGraph(K33.edges + tuple((u + 6, v + 6) for u, v in K4.edges))
+        assert not cubic._bipartite(two) and not oracle_bipartite(two)
 
 
 class TestCensus:

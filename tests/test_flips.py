@@ -599,16 +599,34 @@ class TestTheoremSweep:
         report = verify_flip_theorem(7, workers=workers)
         if workers == 1:  # pool workers decide in their own processes
             # the 340 classes, one flip per site orbit of the realizable
-            # ones (146 for their 418 sites), and one per site orbit of the 8
-            # unrealizable classes those flips reach (14 for 44 sites): each
+            # ones (146 for their 418 sites), and one per site orbit of the 3
+            # unrealizable classes those flips reach (5 for 18 sites): each
             # reached class takes its flip's verdict and is not decided again
-            assert len(decided) == 340 + 146 + 14
+            assert len(decided) == 340 + 146 + 5
         assert report.counterexamples == bad
         assert report.oracle_mismatches == mismatches == TURNED
         # the unrealizable ends come only from re-checking reached classes
         assert {c.before for c in bad} == {True, False}
         assert len({c.word for c in bad}) == 5
         assert not report.ok()
+
+    def test_reached_class_queued_once(self, monkeypatch):
+        # with the TURNED verdicts up to 7 chords, the realizable classes'
+        # flips reach 3 unrealizable classes from 8 sites; each joins its
+        # class's queue once, so _flip_targets walks it once
+        monkeypatch.setattr(flips, "is_realizable", turned(flips.is_realizable))
+        walked = []
+        real = flips._flip_targets
+
+        def logged(d, read):
+            if not flips.is_realizable(d):
+                walked.append(canonical_form(d))
+            return real(d, read)
+
+        monkeypatch.setattr(flips, "_flip_targets", logged)
+        report = verify_flip_theorem(7)
+        assert sorted(walked) == ["ABCABDECFGDEGF", "ABCABDEFDCGEFG", "ABCDEABCDE"]
+        assert {c.word for c in report.counterexamples if not c.before} == set(walked)
 
     def test_counterexample_output_matches_all_sites_sweep(self, monkeypatch):
         # `verify` with the TURNED verdicts: exit 3, the summary counts the
