@@ -75,10 +75,11 @@ from .realize import (
 # orderly generation, against 20-21 s when every pairing was built and
 # filtered.  Each chord more multiplies the class count by about 12.
 ENUMERATE_MAX = 8
-# `verify --max-chords 10 --threads 2` takes 17.5-18.6 s on a 2-core host,
-# and 26-41 s with one worker: of its 17,449,143 classes the 93,196 that
-# pass slot parity are checked one by one.  9 chords take 2.0-2.5 s and
-# 2.9-3.1 s.  11 chords have about 10 times as many passing classes as 10.
+# `verify --max-chords 10 --threads 2` takes 12.8-13.3 s on a 2-core host,
+# and 22.3-22.6 s with one worker: of its 17,449,143 classes the 93,196
+# that pass slot parity are checked one by one.  9 chords take 1.5-1.7 s
+# and 2.7-2.8 s (3 alternating runs each).  11 chords have about 10 times
+# as many passing classes as 10.
 VERIFY_MAX = 10
 # `analyze --json` finds the least genus of an unrealizable diagram by
 # counting the faces of all 2^n rotation systems: ABACBC plus isolated
@@ -94,8 +95,8 @@ ANALYZE_MAX_UNREALIZABLE = 16
 # take 2.1-2.4 s, and in nests of 1 to 5 chords (k = 15) 4.2-4.6 s, on the
 # same host.  14 isolated chords, with 28 symmetries, take 0.49-0.57 s.
 ANALYZE_MAX_COMPONENTS = 14
-# `graph iso mobius:k mobius:k --json` takes 0.30-0.36 s and 38 MB at
-# k = 10^4 and 2.4-2.8 s and 253 MB at k = 10^5 on a 2-core host; the
+# `graph iso mobius:k mobius:k --json` takes 0.34-0.41 s and 36 MB at
+# k = 10^4 and 2.0-2.4 s and 219 MB at k = 10^5 on a 2-core host; the
 # ladder is built before any other check, so a larger k is refused as
 # input.  `graph hamcycles mobius:200` takes 1.0-1.1 s there, and grows as
 # about k^3.
@@ -271,8 +272,7 @@ def cmd_graph(args: argparse.Namespace) -> int:
         record = ham_census(graphs[0]).to_json_dict()
     else:
         ok, witness = are_isomorphic(*graphs)
-        mapping = None if witness is None else {str(k): v for k, v in witness.items()}
-        record = {"isomorphic": ok, "mapping": mapping}
+        record = {"isomorphic": ok, "mapping": witness}
     _emit(record, _graph_lines(action, record, args.csv), args.json)
     return 0
 

@@ -278,37 +278,28 @@ def graph_from_diagram(d: GaussDiagram) -> tuple[CubicGraph, HamCycle]:
     return CubicGraph(tuple(edges)), HamCycle(tuple(range(m)))
 
 
-def _bfs_order(g: CubicGraph) -> list[int]:
-    """Breadth-first from vertex 0; roots and neighbors in ascending order."""
+def _bfs_order(g: CubicGraph) -> tuple[list[int], bool]:
+    """Breadth-first from vertex 0, roots and neighbors in ascending order,
+    and whether the graph is bipartite: each vertex takes the side opposite
+    the one it was found from, and no edge may join two vertices of a side."""
     order: list[int] = []
-    seen = [False] * g.m
+    side = [-1] * g.m
+    bipartite = True
     for root in range(g.m):
-        if seen[root]:
+        if side[root] >= 0:
             continue
-        seen[root] = True
+        side[root] = 0
         queue = deque([root])
         while queue:
             v = queue.popleft()
             order.append(v)
             for w in g.neighbor_sets[v]:
-                if not seen[w]:
-                    seen[w] = True
+                if side[w] < 0:
+                    side[w] = 1 - side[v]
                     queue.append(w)
-    return order
-
-
-def _bipartite(g: CubicGraph) -> bool:
-    """Two-colour the vertices in ``_bfs_order``."""
-    side = [-1] * g.m
-    for v in _bfs_order(g):
-        if side[v] < 0:
-            side[v] = 0
-        for w in g.neighbor_sets[v]:
-            if side[w] < 0:
-                side[w] = 1 - side[v]
-            elif side[w] == side[v]:
-                return False
-    return True
+                elif side[w] == side[v]:
+                    bipartite = False
+    return order, bipartite
 
 
 def _ball_invariants(g: CubicGraph) -> list[tuple[int, int, int, int]]:
@@ -350,17 +341,22 @@ def are_isomorphic(
 
     Once the root's first image has failed, the search refines, once: each
     vertex gets its ``_ball_invariants`` entry and each graph its
-    bipartiteness.  An isomorphism keeps all of them, so graphs whose
-    sorted lists differ are not isomorphic, and a candidate whose entry
-    differs from its vertex's leads to no isomorphism.  Skipping such
-    candidates drops only branches holding no complete mapping, so the
-    witness is still the least isomorphism.  A search that never moves
-    the root, as on a graph against itself, computes none of this.
+    bipartiteness, g1's from the walk that ordered it and g2's from a walk
+    of its own.  An isomorphism keeps all of them, so graphs whose sorted
+    lists differ are not isomorphic, and a candidate whose entry differs
+    from its vertex's leads to no isomorphism.  Skipping such candidates
+    drops only branches holding no complete mapping, so the witness is
+    still the least isomorphism.  A search that never moves the root, as
+    on a graph against itself, computes none of this.
+
+    The witness is checked before it is returned: the images of g1's
+    edges, each written low end first and sorted, must equal ``g2.edges``
+    edge for edge, or ``AssertionError`` is raised.
     """
     m = g1.m
     if m != g2.m:  # cubic, so the edge counts then agree too
         return False, None
-    order = _bfs_order(g1)
+    order, bipartite = _bfs_order(g1)
     image = [-1] * m  # g1 vertex -> g2 vertex, -1 while unplaced
     used = [False] * m
     # by depth: sorted images of the placed neighbors, candidates left;
@@ -377,7 +373,7 @@ def are_isomorphic(
             used[image[v]] = False
             if depth == 0 and kind1 is kind2:  # the root moves: refine
                 inv1, inv2 = _ball_invariants(g1), _ball_invariants(g2)
-                if (_bipartite(g1), sorted(inv1)) != (_bipartite(g2), sorted(inv2)):
+                if (bipartite, sorted(inv1)) != (_bfs_order(g2)[1], sorted(inv2)):
                     return False, None
                 kinds = {t: i for i, t in enumerate(set(inv1))}
                 kind1 = [kinds[t] for t in inv1]
@@ -407,8 +403,8 @@ def are_isomorphic(
         pools[depth] = iter(g2.neighbor_sets[around[0]] if around else range(m))
     else:
         return False, None
-    remapped = CubicGraph(tuple((image[u], image[v]) for u, v in g1.edges))
-    if remapped != g2:
+    mapped = ((image[u], image[v]) for u, v in g1.edges)
+    if tuple(sorted((a, b) if a < b else (b, a) for a, b in mapped)) != g2.edges:
         raise AssertionError("witness must carry edges to edges")
     return True, dict(enumerate(image))
 

@@ -313,8 +313,8 @@ def is_realizable(d: GaussDiagram) -> bool:
 def realizable_class(word: str) -> bool:
     """Cached realizability by word; no library path calls it.
 
-    The benchmark reads its ``cache_info()``; ROADMAP.md item 5's change to
-    the benchmark deletes it.
+    The benchmark reads its ``cache_info()``; the benchmark re-contract in
+    ROADMAP.md deletes it.
     """
     return is_realizable(parse_word(word))
 

@@ -138,7 +138,7 @@ def reference_are_isomorphic(
     m = g1.m
     if m != g2.m:
         return False, None
-    order = cubic._bfs_order(g1)
+    order = cubic._bfs_order(g1)[0]
     image = [-1] * m
     used = [False] * m
     arounds: list[list[int]] = [[]] * m
@@ -700,7 +700,7 @@ class TestIsomorphismWitness:
         g = graph_from_diagram(parse_word("ABCABDECDE"))[0]
         h = graph_from_diagram(parse_word("ABCADCEDBE"))[0]
         assert sorted(cubic._ball_invariants(g)) == sorted(cubic._ball_invariants(h))
-        assert cubic._bipartite(g) == cubic._bipartite(h)
+        assert cubic._bfs_order(g)[1] == cubic._bfs_order(h)[1]
         assert not nx.is_isomorphic(nx.MultiGraph(g.edges), nx.MultiGraph(h.edges))
         assert are_isomorphic(g, h) == (False, None) == reference_are_isomorphic(g, h)
 
@@ -718,11 +718,33 @@ class TestIsomorphismWitness:
         assert are_isomorphic(g, prism(50)) == (False, None)
         assert calls == [g, prism(50)]
 
+    def test_witness_checked_against_g2_edges(self):
+        # the search reads g2 only through its cached adjacency: give the
+        # ladder the prism's, and the search maps the prism onto it
+        tampered = moebius_ladder(5)
+        for name in ("_adjacency", "neighbor_sets"):
+            tampered.__dict__[name] = getattr(PRISM5, name)
+        with pytest.raises(AssertionError, match="carry edges to edges"):
+            are_isomorphic(PRISM5, tampered)
+
+    def test_witness_check_builds_no_graph(self, monkeypatch):
+        g, h = moebius_ladder(30), moebius_ladder(30)
+        built = []
+        real = CubicGraph.__post_init__
+
+        def counted(self):
+            built.append(self)
+            real(self)
+
+        monkeypatch.setattr(CubicGraph, "__post_init__", counted)
+        assert are_isomorphic(g, h)[0]
+        assert built == []
+
     def test_bipartite_against_oracle(self):
         for g in (K4, K33, PETERSEN, PRISM5, moebius_ladder(5), moebius_ladder(6)):
-            assert cubic._bipartite(g) == oracle_bipartite(g)
+            assert cubic._bfs_order(g)[1] == oracle_bipartite(g)
         two = CubicGraph(K33.edges + tuple((u + 6, v + 6) for u, v in K4.edges))
-        assert not cubic._bipartite(two) and not oracle_bipartite(two)
+        assert not cubic._bfs_order(two)[1] and not oracle_bipartite(two)
 
 
 class TestCensus:
