@@ -4,8 +4,9 @@ Subcommands map onto the library one to one: analyze and check read a
 diagram (word or pair syntax), graph works on cubic graphs (edge lists,
 ``mobius:k`` shorthand, or ``-`` for stdin), flips explores the flip move,
 enumerate lists diagram classes, and verify sweeps the flip theorem plus
-the two-oracle agreement check.  Each command builds one JSON-ready record;
-``--json`` prints it, and the text (or census CSV) lines are rendered from it.
+the two-oracle agreement check.  Each command builds one JSON-ready record
+and its text (or census CSV) lines from the same values; ``--json`` prints
+the record, and otherwise the lines are printed.
 Each graph action (hamcycles, census, iso) is a sub-command of its own,
 which reads its own number of graphs and takes its output flags after it.
 The parser is built once per process, at import; ``main`` looks up
@@ -38,6 +39,7 @@ import json
 import os
 import sys
 from collections.abc import Iterable, Iterator
+from itertools import chain
 
 from .cubic import (
     CubicGraph,
@@ -71,7 +73,7 @@ from .realize import (
     trace_faces,
 )
 
-# `enumerate --chords 8 --json` takes 2.6-3.6 s on a 2-core host with
+# `enumerate --chords 8 --json` takes 3.6-4.3 s on a 2-core host with
 # orderly generation, against 20-21 s when every pairing was built and
 # filtered.  Each chord more multiplies the class count by about 12.
 ENUMERATE_MAX = 8
@@ -240,40 +242,37 @@ def cmd_check(args: argparse.Namespace) -> int:
     return 0 if realizable else 1
 
 
-def _graph_lines(action: str, r: dict, csv: bool) -> Iterator[str]:
-    if action == "hamcycles":
-        yield from (" ".join(str(v) for v in cycle) for cycle in r["cycles"])
-        yield f"# cycles={r['count']}"
-    elif action == "census" and csv:
-        yield "word,cycles,realizable"
-        for c in r["classes"]:
-            yield f"{c['word']},{c['cycles']},{str(c['realizable']).lower()}"
-    elif action == "census":
-        for c in r["classes"]:
-            yield f"{c['word']}  cycles={c['cycles']}  {_verdict(c['realizable'])}"
-        yield f"# cycles={r['total_cycles']} classes={len(r['classes'])}"
-    elif r["isomorphic"]:
-        yield "isomorphic"
-        yield " ".join(f"{a}->{b}" for a, b in r["mapping"].items())
-    else:
-        yield "not isomorphic"
-
-
 def cmd_graph(args: argparse.Namespace) -> int:
     action = args.action
     graphs = [_load_graph(spec) for spec in args.graphs]
     if args.dot:
         print(graphs[0].to_dot(), end="")
         return 0
+    # rows are generated only when printed: --json never reads them
     if action == "hamcycles":
-        cycles = hamiltonian_cycles(graphs[0])
-        record = {"count": len(cycles), "cycles": [list(h.vertices) for h in cycles]}
+        cycles = [list(h.vertices) for h in hamiltonian_cycles(graphs[0])]
+        record = {"count": len(cycles), "cycles": cycles}
+        rows = (" ".join(map(str, cycle)) for cycle in cycles)
+        lines = chain(rows, [f"# cycles={len(cycles)}"])
     elif action == "census":
-        record = ham_census(graphs[0]).to_json_dict()
+        census = ham_census(graphs[0])
+        record, entries = census.to_json_dict(), census.entries
+        if args.csv:
+            rows = (f"{e.word},{e.cycles},{str(e.realizable).lower()}" for e in entries)
+            lines = chain(["word,cycles,realizable"], rows)
+        else:
+            rows = (
+                f"{e.word}  cycles={e.cycles}  {_verdict(e.realizable)}" for e in entries
+            )
+            footer = f"# cycles={census.total_cycles} classes={len(entries)}"
+            lines = chain(rows, [footer])
     else:
         ok, witness = are_isomorphic(*graphs)
         record = {"isomorphic": ok, "mapping": witness}
-    _emit(record, _graph_lines(action, record, args.csv), args.json)
+        lines = ["isomorphic" if ok else "not isomorphic"]
+        if ok:
+            lines.append(" ".join(f"{a}->{b}" for a, b in witness.items()))
+    _emit(record, lines, args.json)
     return 0
 
 

@@ -80,12 +80,17 @@ class CubicGraph:
 
     @cached_property
     def _adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """Each vertex's three neighbours, ascending, parallel edges repeated."""
+        """Each vertex's three neighbours, ascending, parallel edges repeated.
+
+        No sort is needed: the edges are sorted with u < v, so a vertex
+        meets its lower neighbours first, ascending, then its higher ones.
+        ``are_isomorphic``'s candidate test relies on that order.
+        """
         adjacent: list[list[int]] = [[] for _ in range(self.m)]
         for u, v in self.edges:
             adjacent[u].append(v)
             adjacent[v].append(u)
-        return tuple(tuple(sorted(a)) for a in adjacent)
+        return tuple(map(tuple, adjacent))
 
     @cached_property
     def neighbor_sets(self) -> tuple[tuple[int, ...], ...]:

@@ -234,7 +234,6 @@ def parse_diagram_input(text: str) -> GaussDiagram:
 def _difference(
     seq: Sequence[int],
     partner: Sequence[int],
-    opened: Sequence[int],
     start: int,
     step: int,
     lo: int,
@@ -242,21 +241,24 @@ def _difference(
 ) -> int:
     """Sign of the first difference between a symmetric read and ``seq``.
 
-    The read visits slot ``(start + step * i) % m`` at index ``i`` and
-    labels chords by first occurrence along the way; it is compared with
-    ``seq`` over indices ``lo..hi-1``, given that the two tie before ``lo``.
-    While they tie, the read's labels are ``seq``'s, so the label at index
-    ``i`` is ``seq[j]`` when the other end of the slot was read earlier, at
-    index ``j < i``, and otherwise the next new label, ``opened[i]`` (the
-    number of labels in ``seq[:i]``).  A ``partner`` of -1 (other end not
+    The read visits slot ``(start + step * i) % m`` at index ``i``; its
+    entry there is the index ``j < i`` at which it read the slot's
+    partner, or ``m`` when the slot opens a chord.  ``seq`` holds the
+    entries of another read, and the two are compared over ``lo..hi-1``,
+    given that they tie before ``lo``.  A ``partner`` of -1 (other end not
     placed yet) stands for slot 2n - 1, which is placed last, so that slot
-    reads as new.  Returns -1, 0 or 1: the read is smaller, tied over the
-    range, or larger.
+    reads as an opening.  Returns -1, 0 or 1: the read is smaller, tied
+    over the range, or larger.
+
+    Entries order reads as their first-occurrence words do.  Reads that
+    tie so far open chords at the same indices, so they spell the same
+    labels; a label grows with the index that opens it, and an opening
+    reads above every repeat.
     """
     m = len(partner)
     for i in range(lo, hi):
         j = (partner[(start + step * i) % m] - start) * step % m
-        v = seq[j] if j < i else opened[i]
+        v = j if j < i else m
         if v != seq[i]:
             return -1 if v < seq[i] else 1
     return 0
@@ -298,10 +300,11 @@ def canonical_form(d: GaussDiagram) -> str:
     smallest is a class invariant: two diagrams get the same word exactly
     when one is a rotation and/or reflection of the other.
 
-    Each read is compared with the least so far straight from ``d.pairing``
-    by ``_difference``, and is spelt out only when it reads smaller, by the
-    same rule: a slot whose other end was read earlier repeats that label,
-    and any other slot opens the next one.
+    Reads are kept and compared as entries, by ``_difference``, straight
+    from ``d.pairing``: where each slot's partner was read, or 2n for an
+    opening.  Ascending entries are ascending words, so the least entry
+    list spells the canonical word.  It is spelt once, at the end: an
+    opening takes the next label, and a repeat the label at index j.
 
     A read that ties with the least so far is compared to its end, so a
     symmetric or near-symmetric word, whose reads share long prefixes,
@@ -312,18 +315,19 @@ def canonical_form(d: GaussDiagram) -> str:
     p = d.pairing
     m = len(p)
     best: list[int] = []
-    opened = [0]
     for start in range(m):
         for step in (1, -1):
-            if best and _difference(best, p, opened, start, step, 0, m) >= 0:
+            if best and _difference(best, p, start, step, 0, m) >= 0:
                 continue
-            best, opened = [], [0]
+            best = []
             for i in range(m):
                 j = (p[(start + step * i) % m] - start) * step % m
-                best.append(best[j] if j < i else opened[i])
-                opened.append(opened[i] + (j > i))
-    names = _chord_names(d.n)
-    return _join_tokens([names[x] for x in best])
+                best.append(j if j < i else m)
+    names = iter(_chord_names(d.n))
+    word: list[str] = []
+    for e in best:
+        word.append(next(names) if e == m else word[e])
+    return _join_tokens(word)
 
 
 @dataclass(frozen=True)
@@ -396,11 +400,13 @@ def enumerate_diagrams(n: int, *, parity_only: bool = False) -> Iterator[GaussDi
     keeps the path to it.
 
     Orderly generation (McKay, "Isomorph-free exhaustive generation",
-    J. Algorithms 26, 1998): first-occurrence-labeled words are grown slot
-    by slot in lexicographic order, and each of the 4n - 1 other symmetric
-    reads of the word is compared with it by ``_difference`` as far as the
-    placed slots allow.  A read that reads smaller inside the prefix does
-    so whatever fills the remaining slots, so every word below that prefix
+    J. Algorithms 26, 1998): words are grown slot by slot as entries (see
+    ``_difference``), in ascending order, which is ascending word order:
+    each child is the first end of an open chord it closes, ascending,
+    then 2n to open a chord.  Each of the 4n - 1 other symmetric reads of
+    the word is compared with it by ``_difference`` as far as the placed
+    slots allow.  A read that reads smaller inside the prefix does so
+    whatever fills the remaining slots, so every word below that prefix
     has a strictly smaller image and the prefix is dropped.  A read that
     reads larger is closed: its first difference is already placed, so it
     reads larger whatever follows, and it needs no check at the leaf.  Only
@@ -415,66 +421,55 @@ def enumerate_diagrams(n: int, *, parity_only: bool = False) -> Iterator[GaussDi
       so it is read whole, inside the prefix, when that slot is placed.
       Those that tie wait in ``mirrors`` for the slots past the prefix;
       the reflection from slot 0 is among them from the start.
+    * Opening: t placed slots hold 2 closed + open ends, so a chord may
+      open while t + open < 2n: fewer than n chords are used, and the
+      slots left can close the open ones and the new one.
     """
     if n < 1:
         raise DiagramError("chord count must be at least 1")
     m = 2 * n
-    seq = [0]  # slot 0 always opens chord 0
-    first = [0]  # slot of each chord's first end
+    seq = [m]  # slot 0 always opens a chord
     partner = [-1] * m  # the other end of a slot, once both ends are placed
-    # opened[k]: chords opened in seq[:k], which is also the next new label
-    # of any read that has tied the prefix for k symbols
-    opened = [0, 1]
 
     def extend(
-        live: list[int], mirrors: tuple[int, ...], open_ids: tuple[int, ...]
+        live: list[int], mirrors: tuple[int, ...], opens: tuple[int, ...]
     ) -> Iterator[GaussDiagram]:
         t = len(seq)
         if t == m:
             if all(
-                _difference(seq, partner, opened, s, 1, m - s, m) >= 0 for s in live
+                _difference(seq, partner, s, 1, m - s, m) >= 0 for s in live
             ) and all(
-                _difference(seq, partner, opened, r, -1, r + 1, m) >= 0
-                for r in mirrors
+                _difference(seq, partner, r, -1, r + 1, m) >= 0 for r in mirrors
             ):
                 yield GaussDiagram(tuple(partner))
             return
-        new = len(first)
-        can_open = new < n and m - t >= len(open_ids) + 2
-        closable = open_ids
+        closable = opens
         if parity_only:
-            closable = tuple(x for x in open_ids if (t + first[x]) % 2)
-        # ascending ids keep the stream lexicographic
-        for x in closable + ((new,) if can_open else ()):
+            closable = tuple(u for u in opens if (t + u) % 2)
+        for x in closable + ((m,) if t + len(opens) < m else ()):
             seq.append(x)
-            if x == new:
-                first.append(t)
-                opened.append(new + 1)
-                rest = open_ids + (x,)
+            if x == m:
+                rest = opens + (t,)
             else:
-                partner[t], partner[first[x]] = first[x], t
-                opened.append(new)
-                rest = tuple(y for y in open_ids if y != x)
+                partner[t], partner[x] = x, t
+                rest = tuple(u for u in opens if u != x)
             tied = []
             for s in live:
-                sign = _difference(seq, partner, opened, s, 1, t - s, t - s + 1)
+                sign = _difference(seq, partner, s, 1, t - s, t - s + 1)
                 if sign < 0:
                     break
                 if sign == 0:
                     tied.append(s)
             else:
-                sign = _difference(seq, partner, opened, t, -1, 0, t + 1)
+                sign = _difference(seq, partner, t, -1, 0, t + 1)
                 if sign >= 0:
                     tied.append(t)
                     yield from extend(
                         tied, mirrors + (t,) if sign == 0 else mirrors, rest
                     )
             seq.pop()
-            opened.pop()
-            if x == new:
-                first.pop()
-            else:
-                partner[t] = partner[first[x]] = -1
+            if x < m:
+                partner[t] = partner[x] = -1
 
     yield from extend([], (0,), (0,))
 

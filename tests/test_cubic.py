@@ -332,6 +332,24 @@ class TestConstruction:
         with pytest.raises(UnsupportedOrderError):
             moebius_ladder(2)
 
+    def test_adjacency_ascends_as_appended(self):
+        # the sorted edges give each vertex its lower neighbours, then its
+        # higher ones, each ascending; are_isomorphic relies on that order
+        graphs = [
+            graph_from_diagram(parse_word(w))[0]
+            for n in range(1, 7)
+            for w in canonical_words(n)
+        ]
+        graphs += [make(k) for k in range(3, 41) for make in (moebius_ladder, prism)]
+        graphs.append(TRIPLE_EDGE)
+        for g in graphs:
+            around: list[list[int]] = [[] for _ in range(g.m)]
+            for u, v in g.edges:
+                around[u].append(v)
+                around[v].append(u)
+            assert g._adjacency == tuple(tuple(sorted(a)) for a in around), g.edges
+        assert len(graphs) == 735
+
     def test_moebius_5_bipartite(self):
         assert oracle_bipartite(moebius_ladder(5))
         assert not oracle_bipartite(PRISM5)

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import pickle
 import random
 import sys
 import tracemalloc
+from collections import Counter
 from collections.abc import Iterable, Sequence
 
 import pytest
@@ -101,6 +103,21 @@ def assert_pruned_stream_matches(max_n: int) -> int:
         assert pruned == kept, n
         passed += len(pruned)
     return passed
+
+
+def stream_digest(n: int, parity_only: bool = False) -> tuple[int, str]:
+    """How many words the n-chord stream yields, and their sha256.
+
+    The digest is over every ``d.word()`` followed by a newline, in stream
+    order.  CI pins the 9-chord stream and the 9- and 10-chord parity
+    streams by it.
+    """
+    digest = hashlib.sha256()
+    count = 0
+    for d in enumerate_diagrams(n, parity_only=parity_only):
+        digest.update(f"{d.word()}\n".encode())
+        count += 1
+    return count, digest.hexdigest()
 
 
 def brute_pairings(m: int) -> list[tuple[int, ...]]:
@@ -243,6 +260,37 @@ def assert_symmetries_match(cases: Iterable[GaussDiagram]) -> int:
         assert _symmetries(d) == direct, p
         compared += 1
     return compared
+
+
+def read_pairing(p: Sequence[int], start: int, step: int) -> tuple[int, ...]:
+    """The pairing seen by the read that visits slot ``start + step * i`` at i."""
+    m = len(p)
+    return tuple((p[(start + step * i) % m] - start) * step % m for i in range(m))
+
+
+def assert_difference_matches_words(
+    cases: Iterable[GaussDiagram], base: tuple[int, int] = (0, 1)
+) -> Counter[int]:
+    """``_difference`` over whole reads against comparing their words.
+
+    For every read (start, step) of each diagram, ``_difference`` given the
+    entries of the ``base`` read must return the sign of comparing the
+    two reads' first-occurrence words, labelled here by ``_word_tuple``.
+    Returns how often each sign came up.
+    """
+    signs: Counter[int] = Counter()
+    for d in cases:
+        p, m = d.pairing, 2 * d.n
+        ref = read_pairing(p, *base)
+        entries = [j if j < i else m for i, j in enumerate(ref)]
+        b = _word_tuple(ref)
+        for start in range(m):
+            for step in (1, -1):
+                a = _word_tuple(read_pairing(p, start, step))
+                sign = diagrams._difference(entries, p, start, step, 0, m)
+                assert sign == (a > b) - (a < b), (d.word(), base, start, step)
+                signs[sign] += 1
+    return signs
 
 
 class TestParsing:
@@ -438,6 +486,20 @@ class TestSymmetries:
             rosette = GaussDiagram(tuple((s + k) % m for s in range(m)))
             assert len(_symmetries(rosette)) == 4 * k
 
+    def test_difference_orders_reads_as_their_words(self):
+        # entries (where each slot's partner was read, or 2n) order reads
+        # as their words do, against the identity read and another one
+        classes = [parse_word(w) for n in range(1, 7) for w in canonical_words(n)]
+        rng = random.Random(20261020)
+        words = [random_diagram(rng, rng.randint(8, 20)) for _ in range(60)]
+        # a canonical word is its least read, so no read is below it
+        assert assert_difference_matches_words(classes) == {0: 1232, 1: 13996}
+        signs = assert_difference_matches_words(classes, (1, -1))
+        assert sum(signs.values()) == 15228 and len(signs) == 3
+        for base in ((0, 1), (1, -1)):
+            signs = assert_difference_matches_words(words, base)
+            assert signs[-1] and signs[1]
+
     def test_labels_above_26_chords_carry_a_suffix(self):
         tokens = [f"c{i}" for i in range(27)]
         form = canonical_form(parse_word(" ".join(tokens * 2)))
@@ -588,16 +650,26 @@ class TestEnumeration:
         reads = []
         difference = diagrams._difference
 
-        def counted(seq, partner, opened, start, step, lo, hi):
+        def counted(seq, partner, start, step, lo, hi):
             if lo > 0 and hi == len(partner):
                 leaves.add(tuple(seq))
                 reads.append((start, step))
-            return difference(seq, partner, opened, start, step, lo, hi)
+            return difference(seq, partner, start, step, lo, hi)
 
         monkeypatch.setattr(diagrams, "_difference", counted)
         assert len(canonical_words(6)) == 554
         assert len(leaves) == 975
         assert len(reads) == 4053
+
+    def test_stream_digests(self):
+        # every word of the 7-chord stream and of the 8-chord parity stream,
+        # in order; CI pins 9 chords and the parity streams at 9 and 10
+        assert stream_digest(7) == (
+            5283, "7992a753518b877aa0047656bc012a74f2bb24abcfd5bdab71b3b7a996f2a242"
+        )
+        assert stream_digest(8, parity_only=True) == (
+            1466, "72b2c5d9fbf3c82d15569d5db859b4926ffdfc281184d7c6255e0e2565fc4181"
+        )
 
     def test_stream_sorted_distinct_canonical(self):
         for n in range(1, 7):
