@@ -77,12 +77,14 @@ from .realize import (
 # orderly generation, against 20-21 s when every pairing was built and
 # filtered.  Each chord more multiplies the class count by about 12.
 ENUMERATE_MAX = 8
-# `verify --max-chords 10 --threads 2` takes 12.8-13.3 s on a 2-core host,
-# and 22.3-22.6 s with one worker: of its 17,449,143 classes the 93,196
-# that pass slot parity are checked one by one.  9 chords take 1.5-1.7 s
-# and 2.7-2.8 s (3 alternating runs each).  11 chords have about 10 times
-# as many passing classes as 10.
-VERIFY_MAX = 10
+# `verify --max-chords 11 --threads 2` takes 23-29 s on a 2-core host, and
+# 29-39 s with one worker: of its 330,149,440 classes only the 156,377
+# realizable ones are enumerated, each with a plane key, and checked.  10
+# chords take 4.1-5.1 s and 4.5-5.4 s, and 9 chords 0.9 s and 1.0-1.3 s (3
+# alternating runs each, 2 for 11 chords, and 2 more for 11 at another
+# time; the host switches between speed modes about 1.8x apart).  12 chords
+# have about 6 times as many realizable classes as 11.
+VERIFY_MAX = 11
 # `analyze --json` finds the least genus of an unrealizable diagram by
 # counting the faces of all 2^n rotation systems: ABACBC plus isolated
 # chords takes 0.55-0.81 s at 16 chords and 1.1-1.8 s at 17 on a 2-core
@@ -300,11 +302,12 @@ def cmd_flips(args: argparse.Namespace) -> int:
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     n = args.chords
-    # every realizable class passes slot parity, so the flag prunes the rest
-    stream = enumerate_diagrams(n, parity_only=args.realizable_only)
-    classes = [dict(word=d.word(), realizable=is_realizable(d)) for d in stream]
-    if args.realizable_only:
-        classes = [c for c in classes if c["realizable"]]
+    if args.realizable_only:  # the tree closes chords by Rosenstiehl's criterion
+        stream = enumerate_diagrams(n, realizable_only=True)
+        classes = [dict(word=d.word(), realizable=True) for d, _ in stream]
+    else:
+        stream = enumerate_diagrams(n)
+        classes = [dict(word=d.word(), realizable=is_realizable(d)) for d in stream]
     total, realizable = class_count(n), sum(c["realizable"] for c in classes)
     unrealizable = total - realizable
     footer = f"# classes={total} realizable={realizable} unrealizable={unrealizable}"

@@ -288,7 +288,7 @@ def _symmetries(d: GaussDiagram) -> list[tuple[int, int]]:
         (start, step)
         for start in range(m)
         for step, want in ((1, gaps), (-1, back))
-        if gaps[start:] + gaps[:start] == want
+        if gaps[start] == want[0] and gaps[start:] + gaps[:start] == want
     ]
 
 
@@ -388,7 +388,9 @@ def parity_check(d: GaussDiagram) -> bool:
     return all((u + v) % 2 == 1 for u, v in d.chord_slots)
 
 
-def enumerate_diagrams(n: int, *, parity_only: bool = False) -> Iterator[GaussDiagram]:
+def enumerate_diagrams(
+    n: int, *, parity_only: bool = False, realizable_only: bool = False
+) -> Iterator[GaussDiagram] | Iterator[tuple[GaussDiagram, int]]:
     """Yield one representative per diagram class, ascending canonical word.
 
     With ``parity_only`` the stream keeps just the classes that pass
@@ -398,6 +400,44 @@ def enumerate_diagrams(n: int, *, parity_only: bool = False) -> Iterator[GaussDi
     2r - (u + v)), so a passing class has a passing canonical word, and
     every prefix of that word closes only passing chords: the pruned tree
     keeps the path to it.
+
+    With ``realizable_only`` the stream keeps just the realizable classes,
+    in the same order, each as a pair ``(d, key)`` whose ``key`` is a plane
+    rotation system of d: the certificate of its verdict.  Slot parity is
+    condition 1 of Rosenstiehl's criterion (``realize``), and conditions 2
+    and 3 become a closing rule.  A chord is keyed by its first slot, bit s
+    for the chord opened at slot s, and ``pre[t]`` is the XOR of the keys
+    of slots 0 .. t - 1.  The rule keeps a colouring of the closed chords
+    in parts, each part a bitmask of chords whose colours its constraints
+    tie.
+
+    * A closed chord's row is final.  When chord a, opened at slot x, closes
+      at slot t, the slots x + 1 .. t - 1 are placed, and
+      ``pre[t] ^ pre[x + 1]`` XORs their keys: a chord with both ends among
+      them cancels, so this is the set of chords with exactly one end inside
+      a's arc, a's interlacement row, and no later slot lands inside that arc.
+    * Conditions 2 and 3 on closed chords are necessary.  Two closed chords
+      have their final rows, so condition 2 on a and each closed chord it
+      does not interlace, and condition 3's rule on a and each closed chord
+      it does interlace, are conditions on every completion.  The rule
+      checks the first, gives a colour 0 and merges the parts the second
+      ties to a, turning over each part whose colours ask a for colour 1;
+      a part that asks a for both colours closes an odd cycle of the rule,
+      which no colouring obeys, and the prefix is dropped.  A realizable class
+      passes all three conditions, so every prefix of its canonical word
+      survives, and the tree keeps the path to it.
+    * The leaf colouring is a cut colouring whose key traces plane.  At a
+      leaf every pair of chords was checked when the later one closed, so
+      the word passes conditions 1 and 2 and the colouring c obeys
+      condition 3's rule on every interlaced pair.  The key with bit i =
+      c_i XOR the parity of chord i's first slot is then planar, as
+      ``realize`` shows for every cut colouring: it traces to n + 2 faces.
+
+    The parts and the colouring ride in ``extend``'s argument ``cut``, so a
+    merge made for one child is undone on backtrack, before its sibling is
+    tried; ``pre`` and ``rows`` are written as each slot is placed and read
+    only along the path.  The full stream pays one branch per child for the
+    rule.
 
     Orderly generation (McKay, "Isomorph-free exhaustive generation",
     J. Algorithms 26, 1998): words are grown slot by slot as entries (see
@@ -428,12 +468,50 @@ def enumerate_diagrams(n: int, *, parity_only: bool = False) -> Iterator[GaussDi
     if n < 1:
         raise DiagramError("chord count must be at least 1")
     m = 2 * n
+    parity = parity_only or realizable_only
     seq = [m]  # slot 0 always opens a chord
     partner = [-1] * m  # the other end of a slot, once both ends are placed
+    pre = [0, 1] + [0] * (m - 1)  # slot 0 holds the key of the chord it opens
+    rows = [0] * m  # each closed chord's interlacement row, by first slot
+
+    def close(t: int, x: int, cut: tuple) -> tuple | None:
+        """``cut`` once slot t takes entry x, or None when the rule drops it."""
+        if x == m:
+            pre[t + 1] = pre[t] ^ 1 << t
+            return cut
+        pre[t + 1] = pre[t] ^ 1 << x
+        row = pre[t] ^ pre[x + 1]
+        closed, colour, parts = cut
+        ones = 0  # the interlaced closed chords that ask for colour 1
+        for s in closed:
+            shared = (row & rows[s]).bit_count()
+            if row >> s & 1:
+                # interlaced chords differ exactly when they share evenly many
+                ones |= ((colour >> s ^ shared ^ 1) & 1) << s
+            elif shared & 1:
+                return None  # condition 2
+        joined, kept = 1 << x, []  # the new chord takes colour 0
+        for part in parts:
+            linked = part & row
+            if not linked:
+                kept.append(part)
+                continue
+            asks = linked & ones
+            if asks:
+                if asks != linked:
+                    return None  # condition 3: an odd cycle
+                colour ^= part
+            joined |= part
+        rows[x] = row
+        kept.append(joined)
+        return (*closed, x), colour, tuple(kept)
 
     def extend(
-        live: list[int], mirrors: tuple[int, ...], opens: tuple[int, ...]
-    ) -> Iterator[GaussDiagram]:
+        live: list[int],
+        mirrors: tuple[int, ...],
+        opens: tuple[int, ...],
+        cut: tuple | None,
+    ) -> Iterator:
         t = len(seq)
         if t == m:
             if all(
@@ -441,12 +519,23 @@ def enumerate_diagrams(n: int, *, parity_only: bool = False) -> Iterator[GaussDi
             ) and all(
                 _difference(seq, partner, r, -1, r + 1, m) >= 0 for r in mirrors
             ):
-                yield GaussDiagram(tuple(partner))
+                d = GaussDiagram(tuple(partner))
+                if cut is None:
+                    yield d
+                else:
+                    firsts = [s for s in range(m) if seq[s] == m]
+                    colour = cut[1]
+                    yield d, sum(
+                        ((colour >> s ^ s) & 1) << i for i, s in enumerate(firsts)
+                    )
             return
         closable = opens
-        if parity_only:
+        if parity:
             closable = tuple(u for u in opens if (t + u) % 2)
+        grown = cut  # each child's cut; None all through the full stream
         for x in closable + ((m,) if t + len(opens) < m else ()):
+            if cut is not None and (grown := close(t, x, cut)) is None:
+                continue
             seq.append(x)
             if x == m:
                 rest = opens + (t,)
@@ -465,13 +554,13 @@ def enumerate_diagrams(n: int, *, parity_only: bool = False) -> Iterator[GaussDi
                 if sign >= 0:
                     tied.append(t)
                     yield from extend(
-                        tied, mirrors + (t,) if sign == 0 else mirrors, rest
+                        tied, mirrors + (t,) if sign == 0 else mirrors, rest, grown
                     )
             seq.pop()
             if x < m:
                 partner[t] = partner[x] = -1
 
-    yield from extend([], (0,), (0,))
+    yield from extend([], (0,), (0,), ((), 0, ()) if realizable_only else None)
 
 
 def _orbit_pairings(c: int, length: int) -> int:

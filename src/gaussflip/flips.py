@@ -26,7 +26,7 @@ from .diagrams import (
     flip_site_count,
     parse_word,
 )
-from .realize import gadget_planarity, is_realizable
+from .realize import _plane_key, _traces_plane, gadget_planarity, is_realizable
 
 # `flips --orbit` on a connected sum of k pentagrams (5k chords) applies
 # 500 * 5^(k-4) flips: 500 at 20 chords take 0.07-0.14 s, 2,500 at 25
@@ -288,32 +288,41 @@ class FlipTheoremReport:
 def check_word_flips(word: str) -> tuple[int, tuple[FlipCounterexample, ...], bool]:
     """Sites counted, realizability-changing flips, and whether the oracles agree.
 
-    Every site of the class is counted; the flips are checked as
-    ``_check_class`` checks them, so an unrealizable class returns no
-    counterexamples of its own.  The oracle is the gadget: a second
-    derivation of the verdict, whether or not the class passes slot parity.
+    The class is decided, and a realizable one is checked as ``_check_class``
+    checks a class of the sweep, from the decision's plane key; an
+    unrealizable class returns no counterexamples of its own.  The oracle is
+    the gadget: a second derivation of the verdict, whether or not the class
+    passes slot parity.  A realizable class's key must also trace plane.
     """
     d = parse_word(word)
-    bad, wrong = _check_class(d)
-    return len(flip_sites(d)), tuple(bad), not wrong
+    solved = _plane_key(d)
+    bad, wrong = _check_class((d, solved[0])) if solved else ([], [])
+    agrees = not wrong and (solved is not None) == gadget_planarity(d)
+    return len(flip_sites(d)), tuple(bad), agrees
 
 
-def _check_class(d: GaussDiagram) -> tuple[list[FlipCounterexample], list[str]]:
-    """One class of the sweep: its counterexamples and oracle mismatch.
+def _check_class(
+    item: tuple[GaussDiagram, int],
+) -> tuple[list[FlipCounterexample], list[str]]:
+    """One realizable class of the sweep: its counterexamples and oracle mismatch.
 
-    The class is decided once and its verdict compared with the gadget's.
-    Only a realizable class decides its flips: a flip is an involution on
-    classes, so one that changes realizability has a realizable end.
-    Realizability is a class property and every site of an orbit reaches
-    one class (``_flip_targets``' proof), so one decision per orbit gives
-    every site its verdict.  A reached unrealizable class joins the queue
-    once, however many sites reach it, with the verdict the flip gave it,
-    and its sites are checked too, under its own canonical word, spelt
-    only then.
+    ``item`` is a class and its plane key, as ``enumerate_diagrams`` yields
+    them with ``realizable_only``.  The class is not decided again: its key
+    is traced once, and one that does not trace to n + 2 faces contradicts
+    the stream's proof, an oracle mismatch.  Its flips are checked either
+    way, as those of a realizable class.
+    A flip is an involution on classes, so one that changes realizability
+    has a realizable end, and the realizable classes' flips are all the
+    sweep needs.  Realizability is a class property and every site of an
+    orbit reaches one class (``_flip_targets``' proof), so one decision per
+    orbit gives every site its verdict.  A reached unrealizable class joins
+    the queue once, however many sites reach it, with the verdict the flip
+    gave it, and its sites are checked too, under its own canonical word,
+    spelt only then.
     """
+    d, key = item
     bad: list[FlipCounterexample] = []
-    before = is_realizable(d)
-    queue = [(d, True)] if before else []
+    queue = [(d, True)]
     queued: set[str] = set()  # canonical words of the reached classes
     for e, verdict in queue:  # d, then each unrealizable class its flips reach
         for (i, j), after in _flip_targets(e, is_realizable)[0]:
@@ -324,7 +333,7 @@ def _check_class(d: GaussDiagram) -> tuple[list[FlipCounterexample], list[str]]:
                     if reached not in queued:
                         queued.add(reached)
                         queue.append((parse_word(reached), False))
-    return bad, [] if before == gadget_planarity(d) else [d.word()]
+    return bad, [] if _traces_plane(d, key) else [d.word()]
 
 
 def _pooled(check: Callable, items: Iterable, workers: int) -> Iterator:
@@ -355,33 +364,26 @@ def _pooled(check: Callable, items: Iterable, workers: int) -> Iterator:
 def verify_flip_theorem(max_n: int, workers: int = 1) -> FlipTheoremReport:
     """Check flips and oracle agreement over all classes n <= max_n in one pass.
 
-    Only the classes that pass slot parity (``parity_check``) are
-    enumerated, decided, gadget-checked and flipped; the class and site
-    totals come from the closed-form counts ``class_count`` and
-    ``flip_site_count``.  That covers every class:
+    Only the realizable classes are enumerated and flipped:
+    ``enumerate_diagrams`` with ``realizable_only`` yields each with a plane
+    key, and ``_check_class`` traces the key and checks the class's flips.
+    The class and site totals come from the closed-form counts
+    ``class_count`` and ``flip_site_count``.  That covers every class:
 
-    * Pruning loses no class that passes.  ``enumerate_diagrams`` with
-      ``parity_only`` yields exactly the canonical words that pass, since
-      slot parity is a class property and every prefix of a passing word
-      stays on the pruned tree.
-    * The passing set is flip-closed.  A site (i, j) of a passing diagram
-      has i + j odd, and its flip sends slot u of the reversed arc to
-      i + j + 1 - u, an even number minus u; a chord with both ends there
-      keeps the parity of u + v, and one with one end there turns u + v
-      into i + j + 1 - u + v, of the same parity again.  So the classes
-      that ``_check_class``'s flips reach are passing ones, and, a flip
-      being an involution, the failing set is flip-closed too.
-    * A failing class is unrealizable by two derivations, by the same
-      condition, so the sweep never enumerates it: the decision rejects
-      it on ``parity_check`` before anything else, and Gauss's parity
-      count ``realize._gauss_parity``, whose Jordan-curve proof makes it
-      unrealizable, rejects it too (of the v - u - 1 slots inside chord
-      (u, v) it leaves out the ends of chords wholly inside, two each, so
-      its count is odd when u + v is even).  A flip from it lands on a
-      failing class, so no flip changes a verdict there: both ends are
-      unrealizable, and by the involution argument of ``_check_class``
-      a realizability-changing flip would have a realizable end, which
-      this sweep checks.
+    * Pruning loses no realizable class, and every class it drops is
+      unrealizable.  The stream's closing rule checks Rosenstiehl's three
+      conditions on the closed chords, which are necessary, and at a leaf
+      it has checked them on every pair (``enumerate_diagrams``' proof).
+    * No flip of a dropped class needs a look.  By the involution argument
+      of ``_check_class``, a flip that changes realizability has a
+      realizable end, a streamed class, whose every site the sweep reads.
+
+    Oracle agreement means that every streamed class's key traces to
+    n + 2 faces: face tracing confirms the verdict the closing rule gave
+    it, a mismatch otherwise.  A dropped class is unrealizable by the
+    pruning proof alone.  The gadget, the independent oracle, is not part
+    of the sweep: it meets the decision on every class up to 8 chords in
+    CI, and ``check_word_flips`` shows it any class.
 
     Classes stream one at a time as ``enumerate_diagrams`` built them,
     so the serial sweep builds no class twice and a pool worker unpickles
@@ -395,14 +397,14 @@ def verify_flip_theorem(max_n: int, workers: int = 1) -> FlipTheoremReport:
     if max_n < 2:
         raise FlipError(f"max chord count must be at least 2, got {max_n}")
     sizes = range(1, max_n + 1)
-    diagrams = (d for n in sizes for d in enumerate_diagrams(n, parity_only=True))
-    results = _pooled(_check_class, diagrams, workers)
+    classes = (c for n in sizes for c in enumerate_diagrams(n, realizable_only=True))
+    results = _pooled(_check_class, classes, workers)
     bad: set[FlipCounterexample] = set()  # a class re-checked twice reports once
     mismatches: list[str] = []
     for found, wrong in results:
         bad.update(found)
         mismatches += wrong
     order = sorted(bad, key=lambda c: (len(c.word), c.word, c.i))
-    classes = sum(class_count(n) for n in sizes)
+    total = sum(class_count(n) for n in sizes)
     sites = sum(flip_site_count(n) for n in sizes)
-    return FlipTheoremReport(max_n, classes, sites, tuple(order), tuple(mismatches))
+    return FlipTheoremReport(max_n, total, sites, tuple(order), tuple(mismatches))

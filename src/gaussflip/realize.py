@@ -75,10 +75,13 @@ Its planarity is decided by the left-right test of ``planarity``, which
 stays independent of the forest decision: it sees only an ordinary
 graph, never chords or interlacement, shares no code with
 ``_plane_key``, and is itself checked against networkx in the tests.
-``verify`` shows it every class it enumerates.  ``_gauss_parity`` counts
-Gauss's parity condition on the raw pairing: a diagram that fails the
-count is unrealizable by a Jordan-curve argument.  It is the same
-condition as slot parity, so the classes ``verify`` never enumerates are
+It is an oracle only: ``verify`` streams the realizable classes with
+their plane keys (``diagrams.enumerate_diagrams``) and traces each key,
+and the tests and CI hold the gadget to the decision on every class up
+to 8 chords.  ``_gauss_parity`` counts Gauss's parity condition on the
+raw pairing: a diagram that fails the count is unrealizable by a
+Jordan-curve argument.  It is the same condition as slot parity, so the
+classes that slot parity drops from ``verify``'s stream are
 unrealizable by this count too.
 """
 
@@ -236,9 +239,14 @@ def _plane_key(d: GaussDiagram) -> _Decision:
                 stack.append(v)
         components.append(seen ^ before)
     key = colour ^ sum((u & 1) << i for i, (u, _) in enumerate(d.chord_slots))
-    if _face_count(_rotation_successors(d, key)) != d.n + 2:
+    if not _traces_plane(d, key):
         return None
     return key, components
+
+
+def _traces_plane(d: GaussDiagram, key: int) -> bool:
+    """True when rotation system ``key`` traces to n + 2 faces: genus 0."""
+    return _face_count(_rotation_successors(d, key)) == d.n + 2
 
 
 def realize_all(d: GaussDiagram) -> list[EmbeddingReport]:

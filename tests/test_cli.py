@@ -658,13 +658,13 @@ class TestVerify:
         assert serial == parallel
 
     def test_oracle_mismatch_fails(self, capsys, monkeypatch):
-        # a gadget oracle that calls AABB non-planar disagrees with the
-        # decision; ABAB fails slot parity, so the sweep never enumerates it
-        real = flips.gadget_planarity
+        # a leaf trace that finds AABB's streamed key non-planar contradicts
+        # the stream; ABAB fails slot parity, so the sweep never enumerates it
+        real = flips._traces_plane
         monkeypatch.setattr(
             flips,
-            "gadget_planarity",
-            lambda d: d.word() != "AABB" and real(d),
+            "_traces_plane",
+            lambda d, key: d.word() != "AABB" and real(d, key),
         )
         code, out, _ = run_cli(
             capsys, "verify", "--json", "--max-chords", "3", "--threads", "1"
@@ -681,7 +681,7 @@ class TestVerify:
         ]
 
     def test_bounds(self, capsys):
-        for bad in ("1", "11"):
+        for bad in ("1", "12"):
             code, out, err = run_cli(capsys, "verify", "--max-chords", bad)
             assert code == 2
             assert out == ""

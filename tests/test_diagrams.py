@@ -36,6 +36,7 @@ from gaussflip.diagrams import (
 )
 from gaussflip.diagrams import _chord_names, _symmetries
 from gaussflip.flips import flip_sites
+from gaussflip.realize import is_realizable, trace_faces
 
 # Five-chord companions used across the suite: all three live on the same
 # cubic graph (see test_cubic) but only the last two bound plane curves.
@@ -103,6 +104,23 @@ def assert_pruned_stream_matches(max_n: int) -> int:
         assert pruned == kept, n
         passed += len(pruned)
     return passed
+
+
+def assert_realizable_stream_matches(sizes: Iterable[int]) -> list[int]:
+    """The realizable stream is the decided parity stream, pairing for pairing.
+
+    For each chord count in ``sizes``, in the same order; returns the
+    realizable class counts.  CI runs it at 9 and 10 chords.
+    """
+    counts = []
+    for n in sizes:
+        streamed = [d.pairing for d, _ in enumerate_diagrams(n, realizable_only=True)]
+        decided = [
+            d.pairing for d in enumerate_diagrams(n, parity_only=True) if is_realizable(d)
+        ]
+        assert streamed == decided, n
+        counts.append(len(streamed))
+    return counts
 
 
 def stream_digest(n: int, parity_only: bool = False) -> tuple[int, str]:
@@ -612,6 +630,21 @@ class TestEnumeration:
     def test_parity_pruned_stream_is_the_filtered_stream(self):
         # CI goes to 8 chords
         assert assert_pruned_stream_matches(7) == 340
+
+    def test_realizable_stream_is_the_decided_stream(self):
+        # CI goes to 10 chords
+        assert assert_realizable_stream_matches(range(1, 9)) == [
+            1, 1, 3, 5, 15, 43, 172, 750
+        ]
+
+    def test_realizable_stream_keys_trace_plane(self):
+        # each leaf's cut colouring, read as a key, traces to n + 2 faces
+        traced = 0
+        for n in range(1, 9):
+            for d, key in enumerate_diagrams(n, realizable_only=True):
+                assert trace_faces(d, key).genus == 0, (d.word(), key)
+                traced += 1
+        assert traced == 990
 
     def test_parity_pruned_counts(self):
         got = tuple(

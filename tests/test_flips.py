@@ -44,7 +44,7 @@ from gaussflip.flips import (
     flip_sites,
     verify_flip_theorem,
 )
-from gaussflip.realize import _gauss_parity, is_realizable, realizable_class
+from gaussflip.realize import _gauss_parity, _plane_key, is_realizable, realizable_class
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 SPAN3 = parse_word("AEBACBDCED")
@@ -84,10 +84,10 @@ def token_route_flip(d, site):
 
 
 def all_sites_sweep(max_n):
-    """Reference sweep: every class applies and decides every flip, and the
-    gadget sees every class.
+    """Reference sweep: every class applies and decides every flip, and each
+    realizable class's decided key is traced.
 
-    It reads the decision and the gadget through ``flips`` at call time, so
+    It reads the decision and the trace through ``flips`` at call time, so
     a test's patch there reaches it.  Returns the counterexamples and the
     oracle mismatches, in sweep order.
     """
@@ -100,24 +100,36 @@ def all_sites_sweep(max_n):
                 after = flips.is_realizable(apply_flip(d, site))
                 if after != before:
                     bad.append(FlipCounterexample(word, site.i, site.j, before, after))
-            if flips.gadget_planarity(d) != before:
+            solved = _plane_key(d)
+            if solved and not flips._traces_plane(d, solved[0]):
                 mismatches.append(word)
     return tuple(bad), tuple(mismatches)
 
 
-# realizable ABCDEABCDE (class 26 of the parity-passing sweep up to 7
-# chords) and unrealizable ABCABDEFGCDEFG (class 305, another batch)
-# have flips to other classes of their own verdict; turning both
-# verdicts makes flips change realizability in both directions.  Both
-# pass slot parity: the sweep never visits a failing class, and need
-# not, since the real decision rejects every one of them.  Up to 6
-# chords no unrealizable class that passes has a flip to another class.
-TURNED = ("ABCDEABCDE", "ABCABDEFGCDEFG")
+# realizable ABCDEABCDE (class 25 of the realizable sweep up to 7 chords)
+# and AABCCBDEFGGDEF (class 139, another batch) have flips to other
+# classes and none to their own.  Turned, they fail the leaf trace and
+# read unrealizable where a flip reaches them, so flips change
+# realizability in both directions: into them from their neighbours, and
+# out of them once they are queued as reached classes.  The sweep never
+# decides a streamed class, so it sees a turned verdict only in those two
+# places, and a class with a flip to its own class would show a
+# counterexample that a sweep deciding every class does not.
+TURNED = ("ABCDEABCDE", "AABCCBDEFGGDEF")
 
 
 def turned(real):
     """``real`` with the verdicts of the ``TURNED`` classes turned."""
     return lambda d: real(d) != (canonical_form(d) in TURNED)
+
+
+def turned_faults():
+    """Patches for ``flips``: its decision and its trace turned on ``TURNED``."""
+    trace = flips._traces_plane
+    return {
+        "is_realizable": turned(flips.is_realizable),
+        "_traces_plane": lambda d, key: trace(d, key) != (d.word() in TURNED),
+    }
 
 
 def assert_turned_sweeps_match(max_n) -> int:
@@ -127,7 +139,7 @@ def assert_turned_sweeps_match(max_n) -> int:
     and mismatches.  Returns the number of counterexamples.  Pool workers are forked, so
     they inherit the patch.  CI runs it at 8 chords.
     """
-    with patch.object(flips, "is_realizable", turned(flips.is_realizable)):
+    with patch.multiple(flips, **turned_faults()):
         bad, mismatches = all_sites_sweep(max_n)
         for workers in (1, 2):
             report = verify_flip_theorem(max_n, workers=workers)
@@ -511,11 +523,11 @@ class TestTheoremSweep:
         }
 
     def test_oracle_mismatch_is_not_ok(self, monkeypatch):
-        # a gadget oracle that calls AABB non-planar disagrees with the
-        # decision; ABAB fails slot parity, so the sweep never enumerates it
-        real = flips.gadget_planarity
+        # a leaf trace that finds AABB's streamed key non-planar contradicts
+        # the stream; ABAB fails slot parity, so the sweep never enumerates it
+        real = flips._traces_plane
         monkeypatch.setattr(
-            flips, "gadget_planarity", lambda d: d.word() != "AABB" and real(d)
+            flips, "_traces_plane", lambda d, key: d.word() != "AABB" and real(d, key)
         )
         report = verify_flip_theorem(3)
         assert report.oracle_mismatches == ("AABB",)
@@ -538,30 +550,36 @@ class TestTheoremSweep:
         assert serial == parallel
 
     def test_workers_keep_sweep_order(self, monkeypatch):
-        # one class that passes slot parity in each of the 15 batches of
-        # 128 disagrees with the decision; fork workers inherit the patch,
-        # and without it the list is empty.  The batches pickle to 129 KB
-        # in all, more than the pipe to the workers holds, so results come
-        # back while batches are still being sent, and imap must keep them
-        # in order (imap_unordered failed here in 14 of 15 runs)
+        # one realizable class in each of the 39 batches of 128 fails the
+        # leaf trace; fork workers inherit the patch, and without it the
+        # list is empty.  The batches pickle to 398 KB in all, more than the
+        # pipe to the workers holds, so results come back while batches are
+        # still being sent, and imap must keep them in order
+        # (imap_unordered failed here in 5 of 5 runs; up to 8 chords, 8
+        # batches, it failed in none of 5)
         words = [
-            d.word() for n in range(1, 9) for d in enumerate_diagrams(n, parity_only=True)
+            d.word()
+            for n in range(1, 10)
+            for d, _ in enumerate_diagrams(n, realizable_only=True)
         ]
-        assert len(words) == 1806
+        assert len(words) == 4881
         chosen = tuple(words[1::128])
+        real = flips._traces_plane
         monkeypatch.setattr(
             flips,
-            "gadget_planarity",
-            lambda d: is_realizable(d) != (d.word() in chosen),
+            "_traces_plane",
+            lambda d, key: real(d, key) != (d.word() in chosen),
         )
         for workers in (1, 2):
-            assert verify_flip_theorem(8, workers=workers).oracle_mismatches == chosen
+            assert verify_flip_theorem(9, workers=workers).oracle_mismatches == chosen
 
     def test_gadget_and_flips_only_where_needed(self, monkeypatch):
-        # up to 6 chords: 80 of the 658 classes pass slot parity, and the
-        # 68 realizable ones hold 100 of the 820 sites in 28 site orbits,
-        # one flip each; each diagram is built once, as the enumeration
-        # yields it or a flip makes it
+        # up to 6 chords: the 68 realizable classes of the 658 are streamed,
+        # each key traced once, and they hold 100 of the 820 sites in 28 site
+        # orbits, one flip each; each diagram is built once, as the
+        # enumeration yields it or a flip makes it.  The gadget and the
+        # decision of a streamed class have left the sweep: only the 28
+        # flips are decided
         calls = Counter()
 
         def counting(owner, name):
@@ -573,20 +591,22 @@ class TestTheoremSweep:
 
             monkeypatch.setattr(owner, name, wrapper)
 
-        counting(flips, "gadget_planarity")
-        counting(flips, "apply_flip")
+        for name in ("gadget_planarity", "is_realizable", "_traces_plane", "apply_flip"):
+            counting(flips, name)
         counting(GaussDiagram, "__post_init__")
         report = verify_flip_theorem(6)
         assert report.sites_checked == 820
         assert calls == {
-            "gadget_planarity": 80,
+            "_traces_plane": 68,
+            "is_realizable": 28,
             "apply_flip": 28,
-            "__post_init__": 108,
+            "__post_init__": 96,
         }
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_counterexamples_match_all_sites_sweep(self, monkeypatch, workers):
-        real = turned(flips.is_realizable)
+        faults = turned_faults()
+        real = faults.pop("is_realizable")
         decided = []
 
         def counted(d):
@@ -594,15 +614,18 @@ class TestTheoremSweep:
             return real(d)
 
         monkeypatch.setattr(flips, "is_realizable", counted)
+        monkeypatch.setattr(flips, "_traces_plane", faults["_traces_plane"])
         bad, mismatches = all_sites_sweep(7)
         decided.clear()
         report = verify_flip_theorem(7, workers=workers)
         if workers == 1:  # pool workers decide in their own processes
-            # the 340 classes, one flip per site orbit of the realizable
-            # ones (146 for their 418 sites), and one per site orbit of the 3
-            # unrealizable classes those flips reach (5 for 18 sites): each
-            # reached class takes its flip's verdict and is not decided again
-            assert len(decided) == 340 + 146 + 5
+            # no streamed class is decided: one flip per site orbit of the
+            # 240 realizable classes (144 for their 420 sites), and one per
+            # site orbit of the TURNED classes as those flips reach them
+            # (1 for ABCDEABCDE, reached from one class, and 2 for
+            # AABCCBDEFGGDEF, reached from two): each reached class takes
+            # its flip's verdict and is not decided again
+            assert len(decided) == 144 + 1 + 2 * 2
         assert report.counterexamples == bad
         assert report.oracle_mismatches == mismatches == TURNED
         # the unrealizable ends come only from re-checking reached classes
@@ -612,27 +635,38 @@ class TestTheoremSweep:
 
     def test_reached_class_queued_once(self, monkeypatch):
         # with the TURNED verdicts up to 7 chords, the realizable classes'
-        # flips reach 3 unrealizable classes from 8 sites; each joins its
-        # class's queue once, so _flip_targets walks it once
-        monkeypatch.setattr(flips, "is_realizable", turned(flips.is_realizable))
-        walked = []
+        # flips reach the 2 TURNED classes from 6 sites of 3 classes; a
+        # reached class joins its reaching class's queue once, so
+        # _flip_targets walks each streamed class once, and each TURNED
+        # class once more per class that reaches it
+        for name, fault in turned_faults().items():
+            monkeypatch.setattr(flips, name, fault)
+        walked = Counter()
         real = flips._flip_targets
 
         def logged(d, read):
-            if not flips.is_realizable(d):
-                walked.append(canonical_form(d))
+            walked[canonical_form(d)] += 1
             return real(d, read)
 
         monkeypatch.setattr(flips, "_flip_targets", logged)
         report = verify_flip_theorem(7)
-        assert sorted(walked) == ["ABCABDECFGDEGF", "ABCABDEFDCGEFG", "ABCDEABCDE"]
-        assert {c.word for c in report.counterexamples if not c.before} == set(walked)
+        streamed = Counter(
+            d.word()
+            for n in range(1, 8)
+            for d, _ in enumerate_diagrams(n, realizable_only=True)
+        )
+        assert walked - streamed == Counter({"ABCDEABCDE": 1, "AABCCBDEFGGDEF": 2})
+        assert set(streamed) == set(walked)
+        reaching = {c.word for c in report.counterexamples if c.before}
+        assert reaching == {"ABCADEBCED", "AABCCBDEFDGGEF", "AABCCBDEFFGDEG"}
+        assert {c.word for c in report.counterexamples if not c.before} == set(TURNED)
 
     def test_counterexample_output_matches_all_sites_sweep(self, monkeypatch):
         # `verify` with the TURNED verdicts: exit 3, the summary counts the
         # counterexamples, one line each follows in sweep order, and the
         # JSON lists the same ones
-        monkeypatch.setattr(flips, "is_realizable", turned(flips.is_realizable))
+        for name, fault in turned_faults().items():
+            monkeypatch.setattr(flips, name, fault)
         bad, mismatches = all_sites_sweep(7)
         sites = sum(
             len(flip_sites(parse_word(w))) for n in range(1, 8) for w in canonical_words(n)
@@ -720,10 +754,20 @@ class TestTheoremSweep:
         assert list(flips._pooled(str, range(129), 2)) == list(map(str, range(129)))
         assert pools == [2]
 
-    def test_check_word_flips(self):
+    def test_check_word_flips(self, monkeypatch):
         sites, bad, agrees = check_word_flips("ABCDEABCDE")
         assert sites == 10
         assert bad == ()
         assert agrees is True
         # fails slot parity: no flip applied, and the gadget agrees
         assert check_word_flips("ABAB") == (4, (), True)
+        # a realizable class is checked as the sweep checks it: its decided
+        # key goes through the leaf trace, and the flips through the decision
+        monkeypatch.setattr(flips, "_traces_plane", lambda d, key: False)
+        assert check_word_flips("ABCDEABCDE") == (10, (), False)
+        assert check_word_flips("ABAB") == (4, (), True)
+        monkeypatch.setattr(flips, "is_realizable", turned(flips.is_realizable))
+        sites, bad, _ = check_word_flips("ABCADEBCED")
+        assert {(c.word, c.before, c.after) for c in bad} == {
+            ("ABCADEBCED", True, False), ("ABCDEABCDE", False, True)
+        }
