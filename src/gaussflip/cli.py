@@ -77,13 +77,15 @@ from .realize import (
 # orderly generation, against 20-21 s when every pairing was built and
 # filtered.  Each chord more multiplies the class count by about 12.
 ENUMERATE_MAX = 8
-# `verify --max-chords 11 --threads 2` takes 23-29 s on a 2-core host, and
-# 29-39 s with one worker: of its 330,149,440 classes only the 156,377
-# realizable ones are enumerated, each with a plane key, and checked.  10
-# chords take 4.1-5.1 s and 4.5-5.4 s, and 9 chords 0.9 s and 1.0-1.3 s (3
-# alternating runs each, 2 for 11 chords, and 2 more for 11 at another
-# time; the host switches between speed modes about 1.8x apart).  12 chords
-# have about 6 times as many realizable classes as 11.
+# `verify --max-chords 11 --threads 2` takes 21-22 s on a 2-core host, and
+# 22-24 s with one worker: of its 330,149,440 classes only the 156,377
+# realizable ones are enumerated, each with a plane key, and checked by
+# tracing the key carried to one flip per site orbit.  10 chords take
+# 3.5-4.6 s and 3.3-3.9 s, and 9 chords 0.8-0.9 s and 0.7-1.0 s (3 runs
+# each, 2 for 11 chords, alternating with runs that decided those flips:
+# 23.8-25.7 s and 30.0-37.8 s at 11; the host switches between speed modes
+# about 1.8x apart).  12 chords have about 6 times as many realizable
+# classes as 11.
 VERIFY_MAX = 11
 # `analyze --json` finds the least genus of an unrealizable diagram by
 # counting the faces of all 2^n rotation systems: ABACBC plus isolated

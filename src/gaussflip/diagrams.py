@@ -650,9 +650,19 @@ def flip_site_count(n: int) -> int:
     sites to sites, so the count is a class function, and the weighted
     form of Burnside's lemma sums it: (1/4n) sum over maps g of the sites
     of the pairings g fixes.  Those are counted site by site, forcing the
-    two chords of each site.  For the identity that is 2n (2n - 3)
-    (2n - 5)!!.  A rotation commutes with the turn by one slot, so each
-    slot carries as many sites as slot 0 among the pairings it fixes.
+    two chords of each site: f(i, j) pairings fixed by g hold the site
+    (i, j).  For the identity the total is 2n (2n - 3) (2n - 5)!!.
+
+    Half the sites are counted.  The sites (i, j) and (j, i) force the same
+    two chords, (i, j) and (i + 1, j + 1), so f(i, j) = f(j, i), and a
+    reflection's total is twice the sum over i < j.  No site has
+    j = i + 1, where P and Q would share a slot, so the sum skips
+    (i, i + 1) and (0, 2n - 1), the other order of (2n - 1, 0).  A rotation
+    commutes with the turn by one slot, which carries the pairings it
+    fixes to pairings it fixes, so each slot carries as many sites as slot
+    0; and turning the site (j, 0) by -j gives (0, 2n - j), so
+    f(0, j) = f(j, 0) = f(0, 2n - j).  A rotation's total is therefore 2n
+    times f(0, n) plus twice the sum of f(0, j) over 2 <= j < n.
     """
     if n < 1:
         raise DiagramError("chord count must be at least 1")
@@ -660,14 +670,18 @@ def flip_site_count(n: int) -> int:
     total = 0
     for w, rotation, g, size in _circle_maps(n):
         slots = Counter(size)
-        starts = (0,) if rotation else range(m)
-        sites = sum(
-            _fixed_pairings(g, size, slots, ((i, j), ((i + 1) % m, (j + 1) % m)))
-            for i in starts
-            for j in range(m)
-            if j != (i + 1) % m
-        )
-        total += w * sites * (m if rotation else 1)
+
+        def fixed(i: int, j: int) -> int:
+            forced = ((i, j), ((i + 1) % m, (j + 1) % m))
+            return _fixed_pairings(g, size, slots, forced)
+
+        if rotation:
+            sites = m * sum(fixed(0, j) * (1 if j == n else 2) for j in range(2, n + 1))
+        else:
+            sites = 2 * sum(
+                fixed(i, j) for i in range(m) for j in range(i + 2, m - (i == 0))
+            )
+        total += w * sites
     return total // (4 * n)
 
 

@@ -26,7 +26,13 @@ from .diagrams import (
     flip_site_count,
     parse_word,
 )
-from .realize import _plane_key, _traces_plane, gadget_planarity, is_realizable
+from .realize import (
+    _plane_key,
+    _slots_trace_plane,
+    _traces_plane,
+    gadget_planarity,
+    is_realizable,
+)
 
 # `flips --orbit` on a connected sum of k pentagrams (5k chords) applies
 # 500 * 5^(k-4) flips: 500 at 20 chords take 0.07-0.14 s, 2,500 at 25
@@ -83,18 +89,27 @@ def flip_sites(d: GaussDiagram) -> list[FlipSite]:
     itself, so only P = (a, b), Q = (a+1, b+1) gives a new cycle: the
     site (a, b).  It reads one in-between arc backwards: the flip.
     """
-    sites = (_site_at(d, i) for i in range(2 * d.n))
-    return [site for site in sites if site is not None]
+    return [_site(d, i) for i, _ in _site_pairs(d.pairing)]
 
 
-def _site_at(d: GaussDiagram, i: int) -> FlipSite | None:
-    """The site with P at slots (i, pairing[i]), if Q sits one slot on."""
-    m = 2 * d.n
-    j, k = d.pairing[i], (i + 1) % m
-    p, q = d.chord_of[i], d.chord_of[k]
-    if d.pairing[k] != (j + 1) % m or p == q:
-        return None
-    return FlipSite(i, j, d.labels[p], d.labels[q])
+def _site_pairs(p: tuple[int, ...]) -> list[tuple[int, int]]:
+    """The sites of pairing ``p`` as (i, j) pairs, ascending; no ``FlipSite``.
+
+    Q must sit one slot on from P at both ends and be another chord; it
+    is P itself only for the single chord at adjacent slots, j = i + 1.
+    """
+    m = len(p)
+    return [
+        (i, j)
+        for i, j in enumerate(p)
+        if p[(i + 1) % m] == (j + 1) % m and j != (i + 1) % m
+    ]
+
+
+def _site(d: GaussDiagram, i: int) -> FlipSite:
+    """The ``FlipSite`` with P at slots (i, pairing[i]), given that it is one."""
+    q = d.chord_of[(i + 1) % (2 * d.n)]
+    return FlipSite(i, d.pairing[i], d.labels[d.chord_of[i]], d.labels[q])
 
 
 def apply_flip(d: GaussDiagram, site: FlipSite) -> GaussDiagram:
@@ -104,10 +119,10 @@ def apply_flip(d: GaussDiagram, site: FlipSite) -> GaussDiagram:
     arc moves to the mirrored slot, and labels ride along with their
     chords.  ``move[s]`` is the mirror of slot s across the arc, or s off
     it, so the new pairing is ``move[pairing[move[s]]]`` and new slot s
-    holds the chord that sat at ``move[s]``.  A site is stale unless slot
-    ``site.i`` reads (i, j) by the site rule, in O(1); labels come from ``d``.
+    holds the chord that sat at ``move[s]``.  A site is stale unless its
+    (i, j) is one of ``_site_pairs``; labels come from ``d``.
     """
-    if not (0 <= site.i < 2 * d.n and d.pairing[site.i] == site.j and _site_at(d, site.i)):
+    if (site.i, site.j) not in _site_pairs(d.pairing):
         raise StaleSiteError(
             f"site (i={site.i}, j={site.j}) does not describe this diagram"
         )
@@ -176,13 +191,30 @@ def _flip_targets(d: GaussDiagram, read: Callable) -> tuple[list[tuple], int]:
     """Each site (i, j) of ``d`` with ``read`` of its flip, and the flips applied.
 
     Sites come in ``flip_sites`` order.  ``read`` is a class property, such
-    as ``canonical_form`` or ``is_realizable``: one site per orbit is flipped
-    and read, and every other site of that orbit reaches the same class.
-    The orbits are those of the group generated by the symmetries of d
-    (``_symmetries``) acting on sites, and the swap (i, j) <-> (j, i).  No
-    symmetry but the identity and at most one reflection fixes a site, so
-    an orbit holds at least half as many sites as d has symmetries, and
-    marking every orbit costs O(sites).
+    as ``canonical_form`` or ``is_realizable``: the first site of each orbit
+    (``_site_orbits``) is flipped and read, and every other site of that
+    orbit reaches the same class.
+    """
+    target_of: dict[tuple[int, int], object] = {}
+    targets = []
+    for site, first in _site_orbits(d):
+        if first not in target_of:
+            target_of[first] = read(apply_flip(d, _site(d, first[0])))
+        targets.append((site, target_of[first]))
+    return targets, len(target_of)
+
+
+def _site_orbits(d: GaussDiagram) -> list[tuple[tuple[int, int], tuple[int, int]]]:
+    """Each site (i, j) of ``d``, in ``flip_sites`` order, with its orbit's first site.
+
+    Sites are read as (i, j) pairs off the pairing; no ``FlipSite`` is
+    built.  The orbits are those of the group generated by the symmetries
+    of d (``_symmetries``) acting on sites, and the swap (i, j) <-> (j, i),
+    and every site of an orbit reaches one class.  No symmetry but the
+    identity and at most one reflection fixes a site, so an orbit holds at
+    least half as many sites as d has symmetries, and marking every orbit
+    costs O(sites).  Sites come in swapped pairs, so a diagram with at most
+    two sites has at most one orbit, and its symmetries are not read.
 
     Proof.  Write the diagram from slot i as P Q alpha P Q beta, with P at
     slots i and j, Q at i + 1 and j + 1, alpha the arc i + 2 .. j - 1 and
@@ -206,22 +238,79 @@ def _flip_targets(d: GaussDiagram, read: Callable) -> tuple[list[tuple], int]:
     under rotations, reflections and the swap reaches one class.
     """
     m = 2 * d.n
-    group = _symmetries(d)
-    target_of: dict[tuple[int, int], object] = {}
-    targets = []
-    applied = 0
-    for site in flip_sites(d):
-        i, j = site.i, site.j
-        if (i, j) not in target_of:
-            target = read(apply_flip(d, site))
-            applied += 1
+    sites = _site_pairs(d.pairing)
+    group = _symmetries(d) if len(sites) > 2 else [(0, 1)]
+    first_of: dict[tuple[int, int], tuple[int, int]] = {}
+    for i, j in sites:
+        if (i, j) not in first_of:
             for r, step in group:
                 a, b = ((i + r) % m, (j + r) % m) if step == 1 else (
                     (r - i - 1) % m, (r - j - 1) % m
                 )
-                target_of[a, b] = target_of[b, a] = target
-        targets.append(((i, j), target_of[i, j]))
-    return targets, applied
+                first_of[a, b] = first_of[b, a] = (i, j)
+    return [(site, first_of[site]) for site in sites]
+
+
+def _flip_key(
+    d: GaussDiagram, key: int, i: int, j: int
+) -> tuple[list[tuple[int, int]], int]:
+    """The flip of ``d`` at site (i, j), as chord slots, and ``key`` carried to it.
+
+    The flipped pairing is built as ``apply_flip`` builds it, from
+    ``d.pairing`` alone: ``move`` mirrors the slots of alpha =
+    i + 2 .. j - 1 and fixes the rest.  The key is carried by one rule.
+    Write c for the colouring of ``key``, c_k = bit k XOR the parity of
+    chord k's first slot.  Complement c on every chord other than P and Q
+    with both ends in alpha or both in beta = j + 2 .. i - 1; keep it on P,
+    Q and every chord with one end in each.  The carried key reads c off
+    the flipped slots, bit k = c_k XOR the parity of flipped chord k's
+    first slot.
+
+    Proof that a plane key of a diagram that passes slot parity carries to
+    a plane key of its flip.  Draw the curve on the sphere by the key, and
+    call e1 and e2 its arcs i and j, both from P to Q.  At a transverse
+    crossing opposite ends are the in and out of one slot, so at P the
+    ends out(i), out(j) are neighbours, and so are in(i+1), in(j+1) at Q.
+    No crossing lies inside e1 or e2, so e1 and e2 close into a Jordan
+    curve, and alpha and beta meet it only at P and Q, from the side that
+    holds in(i), in(j) at P and out(i+1), out(j+1) at Q.  The other side is
+    a face, a bigon.  Take a thin disc B around it.  The rest of the curve
+    is a 2-tangle in the disc D beyond B, with ends on the boundary in the
+    cyclic order in(j), out(j+1), out(i+1), in(i): alpha's ends, in(j) and
+    out(i+1), are opposite, and so are beta's.  Reflect D in the axis
+    through beta's ends.  The reflection swaps alpha's ends, so glued back
+    to B the curve runs P Q alpha^r P Q beta: the flip, drawn on the sphere.
+    P and Q stay in B, unchanged.  Every other crossing lies in D and is
+    mirrored, which reverses its cyclic order: its slot bit, the bit of the
+    slot string that ``realize._one_per_curve`` reads, turns.  Where the
+    curve now runs alpha backwards, in and out trade places at each slot;
+    a trade at one end of a crossing turns its slot bit, and trades at both
+    ends keep it.  So the slot bit ends turned exactly on the chords with
+    both ends in alpha or both in beta.  Slot parity holds, so i + j is odd,
+    ``move`` keeps the parity of every slot, and c_k, read at either end
+    of chord k, is the slot bit XOR the slot's parity.  The drawing's key
+    is therefore the carried key, and it is plane.
+
+    Any key this returns is checked by tracing it, so no verdict rests on
+    this proof; it explains why ``_check_class`` never falls back.
+    """
+    m = 2 * d.n
+    arc = (j - i - 2) % m  # the slots of alpha
+    move = list(range(m))
+    for t in range(arc):
+        move[(i + 2 + t) % m] = (j - 1 - t) % m
+    pattern = {i, (i + 1) % m, j, (j + 1) % m}
+    colour = [0] * m  # each flipped slot's chord colour
+    for k, (u, v) in enumerate(d.chord_slots):
+        c = (key >> k ^ u) & 1
+        if u not in pattern and ((u - i - 2) % m < arc) == ((v - i - 2) % m < arc):
+            c ^= 1  # both ends in alpha, or both in beta
+        colour[move[u]] = colour[move[v]] = c
+    flipped = [0] * m
+    for s, t in enumerate(d.pairing):
+        flipped[move[s]] = move[t]
+    slots = [(s, t) for s, t in enumerate(flipped) if s < t]
+    return slots, sum(((colour[s] ^ s) & 1) << k for k, (s, _) in enumerate(slots))
 
 
 @dataclass(frozen=True)
@@ -289,10 +378,12 @@ def check_word_flips(word: str) -> tuple[int, tuple[FlipCounterexample, ...], bo
     """Sites counted, realizability-changing flips, and whether the oracles agree.
 
     The class is decided, and a realizable one is checked as ``_check_class``
-    checks a class of the sweep, from the decision's plane key; an
-    unrealizable class returns no counterexamples of its own.  The oracle is
-    the gadget: a second derivation of the verdict, whether or not the class
-    passes slot parity.  A realizable class's key must also trace plane.
+    checks a class of the sweep, from the decision's plane key: each flip is
+    realizable by the trace of the key carried to it, and decided only if
+    that trace fails.  An unrealizable class returns no counterexamples of
+    its own.  The oracle is the gadget: a second derivation of the class's
+    verdict, whether or not the class passes slot parity.  A realizable
+    class's key, and every key carried from it, must also trace plane.
     """
     d = parse_word(word)
     solved = _plane_key(d)
@@ -314,26 +405,42 @@ def _check_class(
     A flip is an involution on classes, so one that changes realizability
     has a realizable end, and the realizable classes' flips are all the
     sweep needs.  Realizability is a class property and every site of an
-    orbit reaches one class (``_flip_targets``' proof), so one decision per
-    orbit gives every site its verdict.  A reached unrealizable class joins
-    the queue once, however many sites reach it, with the verdict the flip
-    gave it, and its sites are checked too, under its own canonical word,
-    spelt only then.
+    orbit reaches one class (``_site_orbits``), so one verdict per orbit
+    gives every site its verdict.  That verdict is a trace, not a decision:
+    ``_flip_key`` builds the flip of the orbit's first site straight from
+    the pairing and carries the key to it, and a carried key that traces to
+    n + 2 faces is a plane embedding of the flipped class, checked.  On
+    this passing path no diagram, site or decision is made.
+    A carried key that fails to trace falls back to the decision of the
+    flipped diagram.  Realizable, it is a gap in ``_flip_key``'s proof, an
+    oracle mismatch; unrealizable, the flip is a counterexample, and the
+    class it reaches joins the queue once, however many sites reach it.
+    Its sites are then decided too, under its own canonical word, spelt
+    only then.  A mismatch names the streamed class whose key, or a key
+    carried from it, failed.
     """
     d, key = item
+    wrong = not _traces_plane(d, key)
     bad: list[FlipCounterexample] = []
-    queue = [(d, True)]
-    queued: set[str] = set()  # canonical words of the reached classes
-    for e, verdict in queue:  # d, then each unrealizable class its flips reach
-        for (i, j), after in _flip_targets(e, is_realizable)[0]:
-            if after != verdict:
-                bad.append(FlipCounterexample(e.word(), i, j, verdict, after))
-                if verdict:
-                    reached = canonical_form(apply_flip(e, _site_at(e, i)))
-                    if reached not in queued:
-                        queued.add(reached)
-                        queue.append((parse_word(reached), False))
-    return bad, [] if _traces_plane(d, key) else [d.word()]
+    after: dict[tuple[int, int], bool] = {}  # by the first site of each orbit
+    reached: list[str] = []  # canonical words of the unrealizable classes reached
+    for (i, j), first in _site_orbits(d):
+        if first not in after:
+            plane = _slots_trace_plane(*_flip_key(d, key, *first))
+            if not plane:
+                e = apply_flip(d, _site(d, first[0]))
+                plane = is_realizable(e)
+                wrong |= plane
+                if not plane and (word := canonical_form(e)) not in reached:
+                    reached.append(word)
+            after[first] = plane
+        if not after[first]:
+            bad.append(FlipCounterexample(d.word(), i, j, True, False))
+    for word in reached:
+        for (i, j), back in _flip_targets(parse_word(word), is_realizable)[0]:
+            if back:
+                bad.append(FlipCounterexample(word, i, j, False, True))
+    return bad, [d.word()] if wrong else []
 
 
 def _pooled(check: Callable, items: Iterable, workers: int) -> Iterator:
@@ -377,13 +484,18 @@ def verify_flip_theorem(max_n: int, workers: int = 1) -> FlipTheoremReport:
     * No flip of a dropped class needs a look.  By the involution argument
       of ``_check_class``, a flip that changes realizability has a
       realizable end, a streamed class, whose every site the sweep reads.
+    * A streamed class's flip is realizable by a checked certificate: the
+      class's key, carried to one site of each orbit by ``_flip_key``,
+      traces to n + 2 faces.  The rule's proof only says why it always
+      does; a key that does not sends that flip to the decision.
 
     Oracle agreement means that every streamed class's key traces to
-    n + 2 faces: face tracing confirms the verdict the closing rule gave
-    it, a mismatch otherwise.  A dropped class is unrealizable by the
-    pruning proof alone.  The gadget, the independent oracle, is not part
-    of the sweep: it meets the decision on every class up to 8 chords in
-    CI, and ``check_word_flips`` shows it any class.
+    n + 2 faces, confirming the verdict the closing rule gave it, and that
+    no flip whose carried key failed to trace is realizable after all: a
+    mismatch otherwise.  A dropped class is unrealizable by the pruning
+    proof alone.  The gadget, the independent oracle, is not part of the
+    sweep: it meets the decision on every class up to 8 chords in CI, and
+    ``check_word_flips`` shows it any class.
 
     Classes stream one at a time as ``enumerate_diagrams`` built them,
     so the serial sweep builds no class twice and a pool worker unpickles

@@ -87,7 +87,7 @@ unrealizable by this count too.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -115,16 +115,19 @@ def transverse_rotation_systems(d: GaussDiagram) -> Iterator[int]:
     yield from range(1 << d.n)
 
 
-def _rotation_successors(d: GaussDiagram, key: int) -> list[int]:
+def _rotation_successors(
+    chord_slots: Sequence[tuple[int, int]], key: int
+) -> list[int]:
     """Permutation of darts: successor in the cyclic order at each crossing.
 
-    Ends are identified with the dart that departs through them: the out
-    end of slot s with dart 2s, the in end of slot s with dart
-    2*((s-1) mod 2n) + 1.
+    ``chord_slots`` lists each chord's two slots, as ``d.chord_slots``
+    does, and bit i of ``key`` is chord i's transverse choice.  Ends are
+    identified with the dart that departs through them: the out end of
+    slot s with dart 2s, the in end of slot s with dart 2*((s-1) mod 2n) + 1.
     """
-    m = 2 * d.n
+    m = 2 * len(chord_slots)
     succ = [0] * (2 * m)
-    for cid, (u, v) in enumerate(d.chord_slots):
+    for cid, (u, v) in enumerate(chord_slots):
         in_u = 2 * ((u - 1) % m) + 1
         in_v = 2 * ((v - 1) % m) + 1
         out_u = 2 * u
@@ -186,7 +189,7 @@ def trace_faces(d: GaussDiagram, key: int) -> EmbeddingReport:
     """
     if not 0 <= key < 1 << d.n:
         raise RealizeError(f"rotation key {key} outside 0..{(1 << d.n) - 1}")
-    succ = _rotation_successors(d, key)
+    succ = _rotation_successors(d.chord_slots, key)
     nd = len(succ)
     seen = bytearray(nd)
     faces: list[tuple[int, ...]] = []
@@ -246,7 +249,12 @@ def _plane_key(d: GaussDiagram) -> _Decision:
 
 def _traces_plane(d: GaussDiagram, key: int) -> bool:
     """True when rotation system ``key`` traces to n + 2 faces: genus 0."""
-    return _face_count(_rotation_successors(d, key)) == d.n + 2
+    return _slots_trace_plane(d.chord_slots, key)
+
+
+def _slots_trace_plane(chord_slots: Sequence[tuple[int, int]], key: int) -> bool:
+    """``_traces_plane`` on a diagram given by its chord slots alone."""
+    return _face_count(_rotation_successors(chord_slots, key)) == len(chord_slots) + 2
 
 
 def realize_all(d: GaussDiagram) -> list[EmbeddingReport]:
@@ -275,7 +283,7 @@ def _plane_keys(d: GaussDiagram, solved: _Decision) -> list[int]:
         keys += [k ^ component for k in keys]
     keys.sort()
     for key in keys:
-        faces = _face_count(_rotation_successors(d, key))
+        faces = _face_count(_rotation_successors(d.chord_slots, key))
         if faces != d.n + 2:
             raise AssertionError(
                 f"rotation {key} from the forest colouring of {d.word()}"
@@ -296,7 +304,7 @@ def min_genus(d: GaussDiagram) -> int:
     walk does, so the least genus is the same; it stops at n + 2 faces.
     """
     best = d.n  # no genus exceeds n: one face already gives (n + 1) / 2
-    succ = _rotation_successors(d, 0)
+    succ = _rotation_successors(d.chord_slots, 0)
     outs = [2 * u for u, _ in d.chord_slots]  # a dart of each crossing
     for step in transverse_rotation_systems(d):
         if step:
@@ -468,7 +476,7 @@ def curve_code(report: EmbeddingReport) -> str:
     d, key = report.diagram, report.rotation
     mirror = key ^ ((1 << d.n) - 1)  # every crossing mirrored: the inverse
     best: list[int] | None = None
-    for sigma in (_rotation_successors(d, key), _rotation_successors(d, mirror)):
+    for sigma in (_rotation_successors(d.chord_slots, k) for k in (key, mirror)):
         for root in range(4 * d.n):
             code = _encode_below(root, sigma, best)
             if code is not None:

@@ -29,6 +29,7 @@ from gaussflip.diagrams import (
     canonical_form,
     canonical_words,
     enumerate_diagrams,
+    from_chord_pairs,
     parity_check,
     parse_word,
 )
@@ -44,7 +45,13 @@ from gaussflip.flips import (
     flip_sites,
     verify_flip_theorem,
 )
-from gaussflip.realize import _gauss_parity, _plane_key, is_realizable, realizable_class
+from gaussflip.realize import (
+    _gauss_parity,
+    _plane_key,
+    is_realizable,
+    realizable_class,
+    trace_faces,
+)
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 SPAN3 = parse_word("AEBACBDCED")
@@ -108,13 +115,14 @@ def all_sites_sweep(max_n):
 
 # realizable ABCDEABCDE (class 25 of the realizable sweep up to 7 chords)
 # and AABCCBDEFGGDEF (class 139, another batch) have flips to other
-# classes and none to their own.  Turned, they fail the leaf trace and
-# read unrealizable where a flip reaches them, so flips change
-# realizability in both directions: into them from their neighbours, and
-# out of them once they are queued as reached classes.  The sweep never
-# decides a streamed class, so it sees a turned verdict only in those two
-# places, and a class with a flip to its own class would show a
-# counterexample that a sweep deciding every class does not.
+# classes and none to their own.  Turned, they fail the leaf trace, the
+# keys carried into them fail to trace, and the decision that follows
+# reads them unrealizable, so flips change realizability in both
+# directions: into them from their neighbours, and out of them once they
+# are queued as reached classes.  The sweep never decides a streamed
+# class, so it sees a turned verdict only in those places, and a class
+# with a flip to its own class would show a counterexample that a sweep
+# deciding every class does not.
 TURNED = ("ABCDEABCDE", "AABCCBDEFGGDEF")
 
 
@@ -124,11 +132,19 @@ def turned(real):
 
 
 def turned_faults():
-    """Patches for ``flips``: its decision and its trace turned on ``TURNED``."""
+    """Patches for ``flips``: its decision, leaf trace and carried trace
+    turned on ``TURNED``.
+
+    The carried trace sees only chord slots; the class they draw is read
+    off a diagram built from them.
+    """
     trace = flips._traces_plane
+    carried = flips._slots_trace_plane
     return {
         "is_realizable": turned(flips.is_realizable),
         "_traces_plane": lambda d, key: trace(d, key) != (d.word() in TURNED),
+        "_slots_trace_plane": lambda slots, key: carried(slots, key)
+        != (canonical_form(from_chord_pairs(slots)) in TURNED),
     }
 
 
@@ -146,6 +162,55 @@ def assert_turned_sweeps_match(max_n) -> int:
             assert report.counterexamples == bad, workers
             assert report.oracle_mismatches == mismatches == TURNED, workers
     return len(bad)
+
+
+def assert_carried_keys_plane(max_n, carry=None) -> int:
+    """Every site of every realizable class up to ``max_n`` chords carries
+    the class's streamed key to a plane key of its flip; returns the sites.
+
+    ``carry`` stands for ``flips._flip_key``, which gives the flip's chord
+    slots and the carried key.  The slots must be ``apply_flip``'s, and the
+    key is traced by ``trace_faces``, which lists faces rather than count
+    them as the sweep's trace does.  CI runs it at 9 chords.
+    """
+    carry = carry or flips._flip_key
+    sites = 0
+    for n in range(2, max_n + 1):
+        for d, key in enumerate_diagrams(n, realizable_only=True):
+            for site in flip_sites(d):
+                slots, carried = carry(d, key, site.i, site.j)
+                e = apply_flip(d, site)
+                assert slots == list(e.chord_slots), (d.word(), site)
+                assert trace_faces(e, carried).genus == 0, (d.word(), site)
+                sites += 1
+    return sites
+
+
+def mutated_carry(kind):
+    """``flips._flip_key`` with c also complemented on the chords of ``kind``.
+
+    A flipped chord's kind reads off its slots, which the flip keeps on
+    their arcs: "PQ" for P and Q, "beta" for both ends on beta and "split"
+    for one end on each in-between arc.  Complementing c on a chord turns
+    its key bit.
+    """
+
+    def carry(d, key, i, j):
+        slots, carried = flips._flip_key(d, key, i, j)
+        m = 2 * d.n
+        arc = (j - i - 2) % m
+
+        def side(s):
+            o = (s - i - 2) % m
+            return "alpha" if o < arc else "beta" if arc + 2 <= o < m - 2 else "PQ"
+
+        for k, (u, v) in enumerate(slots):
+            sides = {side(u), side(v)}
+            if sides == {kind} or kind == "split" and sides == {"alpha", "beta"}:
+                carried ^= 1 << k
+        return slots, carried
+
+    return carry
 
 
 def _word_and_check(word):
@@ -495,6 +560,24 @@ class TestTwoSwitches:
         assert pairs == 1065  # 3, 10, 22, 120 and 910 for n = 2..6
 
 
+class TestCarriedKeys:
+    """``_flip_key`` carries a plane key to a plane key of every flip."""
+
+    def test_every_site_up_to_eight_chords(self):
+        # every site, not one per orbit, of the 990 realizable classes up to
+        # 8 chords; CI runs the same check at 9
+        assert assert_carried_keys_plane(8) == 1798
+
+    @pytest.mark.parametrize("kind", ["PQ", "beta", "split"])
+    def test_mutated_rules_fail(self, kind):
+        # complementing P and Q as well, skipping the beta side, and
+        # complementing the chords with one end on each arc all carry some
+        # key to a non-plane one; ABCABC fails the first and the last, and
+        # ABCADEBCFDEF the second
+        with pytest.raises(AssertionError):
+            assert_carried_keys_plane(8, mutated_carry(kind))
+
+
 class TestTheoremSweep:
     def test_rejects_tiny_bound(self):
         with pytest.raises(FlipError):
@@ -534,6 +617,30 @@ class TestTheoremSweep:
         assert report.counterexamples == ()
         assert not report.ok()
         assert report.summary().endswith("no counterexamples")
+
+    def test_carried_key_gap_is_a_mismatch(self, monkeypatch):
+        # a carried key that fails to trace, on a flip that the decision
+        # finds realizable, is a gap in the carrying rule: ABCADEBCED's one
+        # site orbit into ABCDEABCDE falls back to the decision, and the
+        # class is named as a mismatch with no counterexample
+        real = flips._slots_trace_plane
+        monkeypatch.setattr(
+            flips,
+            "_slots_trace_plane",
+            lambda slots, key: real(slots, key)
+            and canonical_form(from_chord_pairs(slots)) != "ABCDEABCDE",
+        )
+        calls = count_flips(monkeypatch)
+        report = verify_flip_theorem(6)
+        assert report.oracle_mismatches == ("ABCADEBCED",)
+        assert report.counterexamples == ()
+        assert calls == [1]
+        out, code = verify_output(verify_flip_theorem, "--max-chords", "6")
+        assert code == 3
+        assert out.splitlines()[1:] == [
+            "oracle agreement up to 6 chords: 1 DISAGREEMENTS",
+            "  oracle mismatch on ABCADEBCED",
+        ]
 
     def test_five_chords(self):
         report = verify_flip_theorem(5)
@@ -576,10 +683,9 @@ class TestTheoremSweep:
     def test_gadget_and_flips_only_where_needed(self, monkeypatch):
         # up to 6 chords: the 68 realizable classes of the 658 are streamed,
         # each key traced once, and they hold 100 of the 820 sites in 28 site
-        # orbits, one flip each; each diagram is built once, as the
-        # enumeration yields it or a flip makes it.  The gadget and the
-        # decision of a streamed class have left the sweep: only the 28
-        # flips are decided
+        # orbits, one carried key traced each.  Each diagram is built once,
+        # as the enumeration yields it; no flip builds a diagram or a site,
+        # and nothing is decided: not the classes, not their flips
         calls = Counter()
 
         def counting(owner, name):
@@ -591,17 +697,25 @@ class TestTheoremSweep:
 
             monkeypatch.setattr(owner, name, wrapper)
 
-        for name in ("gadget_planarity", "is_realizable", "_traces_plane", "apply_flip"):
+        names = (
+            "gadget_planarity",
+            "is_realizable",
+            "_traces_plane",
+            "_slots_trace_plane",
+            "apply_flip",
+            "FlipSite",
+        )
+        for name in names:
             counting(flips, name)
         counting(GaussDiagram, "__post_init__")
         report = verify_flip_theorem(6)
         assert report.sites_checked == 820
         assert calls == {
             "_traces_plane": 68,
-            "is_realizable": 28,
-            "apply_flip": 28,
-            "__post_init__": 96,
+            "_slots_trace_plane": 28,
+            "__post_init__": 68,
         }
+        assert calls["is_realizable"] == calls["apply_flip"] == calls["FlipSite"] == 0
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_counterexamples_match_all_sites_sweep(self, monkeypatch, workers):
@@ -614,18 +728,21 @@ class TestTheoremSweep:
             return real(d)
 
         monkeypatch.setattr(flips, "is_realizable", counted)
-        monkeypatch.setattr(flips, "_traces_plane", faults["_traces_plane"])
+        for name, fault in faults.items():
+            monkeypatch.setattr(flips, name, fault)
         bad, mismatches = all_sites_sweep(7)
         decided.clear()
         report = verify_flip_theorem(7, workers=workers)
         if workers == 1:  # pool workers decide in their own processes
-            # no streamed class is decided: one flip per site orbit of the
-            # 240 realizable classes (144 for their 420 sites), and one per
-            # site orbit of the TURNED classes as those flips reach them
-            # (1 for ABCDEABCDE, reached from one class, and 2 for
-            # AABCCBDEFGGDEF, reached from two): each reached class takes
-            # its flip's verdict and is not decided again
-            assert len(decided) == 144 + 1 + 2 * 2
+            # no streamed class is decided, and of the 144 site orbits of
+            # the 240 realizable classes only the 3 whose carried keys fail
+            # to trace, those into a TURNED class (6 sites of 3 classes),
+            # decide their flip.  Then one flip per site orbit of the TURNED
+            # classes as those flips reach them (1 for ABCDEABCDE, reached
+            # from one class, and 2 for AABCCBDEFGGDEF, reached from two):
+            # each reached class takes its flip's verdict and is not
+            # decided again
+            assert len(decided) == 3 + 1 + 2 * 2
         assert report.counterexamples == bad
         assert report.oracle_mismatches == mismatches == TURNED
         # the unrealizable ends come only from re-checking reached classes
@@ -637,18 +754,18 @@ class TestTheoremSweep:
         # with the TURNED verdicts up to 7 chords, the realizable classes'
         # flips reach the 2 TURNED classes from 6 sites of 3 classes; a
         # reached class joins its reaching class's queue once, so
-        # _flip_targets walks each streamed class once, and each TURNED
+        # _site_orbits walks each streamed class once, and each TURNED
         # class once more per class that reaches it
         for name, fault in turned_faults().items():
             monkeypatch.setattr(flips, name, fault)
         walked = Counter()
-        real = flips._flip_targets
+        real = flips._site_orbits
 
-        def logged(d, read):
+        def logged(d):
             walked[canonical_form(d)] += 1
-            return real(d, read)
+            return real(d)
 
-        monkeypatch.setattr(flips, "_flip_targets", logged)
+        monkeypatch.setattr(flips, "_site_orbits", logged)
         report = verify_flip_theorem(7)
         streamed = Counter(
             d.word()
@@ -762,11 +879,14 @@ class TestTheoremSweep:
         # fails slot parity: no flip applied, and the gadget agrees
         assert check_word_flips("ABAB") == (4, (), True)
         # a realizable class is checked as the sweep checks it: its decided
-        # key goes through the leaf trace, and the flips through the decision
+        # key goes through the leaf trace, and the keys it carries to its
+        # flips through the carried trace, then the decision
         monkeypatch.setattr(flips, "_traces_plane", lambda d, key: False)
         assert check_word_flips("ABCDEABCDE") == (10, (), False)
         assert check_word_flips("ABAB") == (4, (), True)
-        monkeypatch.setattr(flips, "is_realizable", turned(flips.is_realizable))
+        faults = turned_faults()
+        for name in ("is_realizable", "_slots_trace_plane"):
+            monkeypatch.setattr(flips, name, faults[name])
         sites, bad, _ = check_word_flips("ABCADEBCED")
         assert {(c.word, c.before, c.after) for c in bad} == {
             ("ABCADEBCED", True, False), ("ABCDEABCDE", False, True)

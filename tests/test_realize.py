@@ -36,7 +36,7 @@ MIXED = parse_word("ACDECABDEB")
 
 def reference_curve_code(report) -> str:
     """Reference code: number every dart, then emit; invert by hand; full minimum."""
-    succ = _rotation_successors(report.diagram, report.rotation)
+    succ = _rotation_successors(report.diagram.chord_slots, report.rotation)
     nd = len(succ)
     inv = [0] * nd
     for a, b in enumerate(succ):
@@ -144,8 +144,8 @@ class TestRotationSystems:
             for word in canonical_words(n):
                 d = parse_word(word)
                 for key in transverse_rotation_systems(d):
-                    succ = _rotation_successors(d, key)
-                    mirror = _rotation_successors(d, key ^ full)
+                    succ = _rotation_successors(d.chord_slots, key)
+                    mirror = _rotation_successors(d.chord_slots, key ^ full)
                     assert [mirror[b] for b in succ] == list(range(4 * n)), word
 
     def test_count_and_order(self):
